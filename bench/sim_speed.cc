@@ -39,7 +39,6 @@ struct SpeedPoint
     double cpuMhz;
     bool taskLevel;
     bool idleSleep;
-    unsigned payloadBytes = 0; //!< explicit duplex payload (0 = default)
 };
 
 struct SpeedResult
@@ -51,25 +50,7 @@ struct SpeedResult
     double simMticksPerSec = 0.0;
     double totalUdpGbps = 0.0;
     std::uint64_t frames = 0;
-
-    /// Op-cache effectiveness over the run (zeros when disabled).
-    std::uint64_t opcacheHits = 0;
-    std::uint64_t opcacheMisses = 0;
-    double opcacheHitRate = 0.0;
 };
-
-void
-readOpcache(const NicController &nic, SpeedResult &r)
-{
-    if (const obs::StatGroup *g = nic.statTree().findGroup("opcache")) {
-        r.opcacheHits = static_cast<std::uint64_t>(g->value("hits"));
-        r.opcacheMisses = static_cast<std::uint64_t>(g->value("misses"));
-        std::uint64_t total = r.opcacheHits + r.opcacheMisses;
-        if (total)
-            r.opcacheHitRate =
-                static_cast<double>(r.opcacheHits) / total;
-    }
-}
 
 SpeedResult
 measure(const SpeedPoint &p, bool quick)
@@ -97,16 +78,12 @@ measure(const SpeedPoint &p, bool quick)
         r.simTicks = nic.eventQueue().curTick();
         r.totalUdpGbps = res.totalUdpGbps;
         r.frames = res.rxFrames;
-        readOpcache(nic, r);
     } else {
         if (p.workload == "imix") {
             // Mixed-size multi-flow duplex: the payload-heavy stress on
             // the zero-copy data path with per-flow validation on top.
             cfg.txTraffic = TrafficProfile::imixPoisson(8, 1.0, 0x51);
             cfg.rxTraffic = TrafficProfile::imixPoisson(8, 1.0, 0x52);
-        } else if (p.payloadBytes) {
-            cfg.txPayloadBytes = p.payloadBytes;
-            cfg.rxPayloadBytes = p.payloadBytes;
         }
         NicController nic(cfg);
         Tick warmup = quick ? tickPerMs / 4 : tickPerMs / 2;
@@ -120,7 +97,6 @@ measure(const SpeedPoint &p, bool quick)
         r.simTicks = nic.eventQueue().curTick();
         r.totalUdpGbps = res.totalUdpGbps;
         r.frames = res.txFrames + res.rxFrames;
-        readOpcache(nic, r);
     }
     double wall_s = r.wallMs / 1e3;
     if (wall_s > 0) {
@@ -142,7 +118,6 @@ main(int argc, char **argv)
 
     std::vector<SpeedPoint> points = {
         {"duplex 6c 200MHz (default)", "duplex", 6, 200, false, false},
-        {"duplex 6c 200MHz 1472B", "duplex", 6, 200, false, false, 1472},
         {"imix 6c 200MHz 8 flows", "imix", 6, 200, false, false},
         {"duplex 2c 200MHz", "duplex", 2, 200, false, false},
         {"duplex 6c 200MHz task-level", "duplex", 6, 200, true, false},
@@ -169,8 +144,6 @@ main(int argc, char **argv)
         cfg.set("cpuMhz", p.cpuMhz);
         cfg.set("taskLevelFirmware", p.taskLevel);
         cfg.set("idleSleep", p.idleSleep);
-        if (p.payloadBytes)
-            cfg.set("payloadBytes", p.payloadBytes);
 
         obs::json::Value m = obs::json::Value::object();
         m.set("hostEventsPerSec", r.eventsPerSec);
@@ -179,9 +152,6 @@ main(int argc, char **argv)
         m.set("wallMs", r.wallMs);
         m.set("totalUdpGbps", r.totalUdpGbps);
         m.set("frames", r.frames);
-        m.set("opcacheHits", r.opcacheHits);
-        m.set("opcacheMisses", r.opcacheMisses);
-        m.set("opcacheHitRate", r.opcacheHitRate);
         report.addRow(p.name, std::move(cfg), std::move(m));
     }
 

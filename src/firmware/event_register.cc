@@ -1,20 +1,13 @@
 #include "event_register.hh"
 
 #include "firmware/calibration.hh"
-#include "firmware/op_cache.hh"
 
 namespace tengig {
 
-namespace {
-/** Key-space salt separating event-register keys. */
-constexpr std::uint64_t eventRegSalt = 0x65767267; // 'evrg'
-} // namespace
-
 EventRegisterDispatcher::EventRegisterDispatcher(FwTasks &tasks_,
                                                  unsigned max_cores,
-                                                 unsigned max_passes,
-                                                 OpCache *cache_)
-    : tasks(tasks_), cache(cache_), owned(max_cores, -1),
+                                                 unsigned max_passes)
+    : tasks(tasks_), owned(max_cores, -1),
       maxPasses(max_passes)
 {
     types = {
@@ -55,27 +48,10 @@ EventRegisterDispatcher::service(OpRecorder &rec, unsigned core_id,
 }
 
 void
-EventRegisterDispatcher::recordIdleScan(unsigned start, OpList &out)
-{
-    OpRecorder rec(out, FuncTag::Idle);
-    rec.load(eventRegAddr);
-    rec.alu(cal::dispatchCheckAlu);
-    for (std::size_t i = 0; i < types.size(); ++i) {
-        const EventType &t = types[(start + i) % types.size()];
-        rec.tag(t.isTx ? FuncTag::SendDispatch : FuncTag::RecvDispatch);
-        rec.alu(1); // bit test
-    }
-    for (auto &op : out.ops)
-        op.tag = FuncTag::Idle;
-    out.idlePoll = true;
-}
-
-void
 EventRegisterDispatcher::next(unsigned core_id, OpList &out)
 {
     // A processor that owns a type keeps draining it (no other core
-    // may touch that type meanwhile).  Never cached: each drain pass
-    // re-evaluates ready() against state its previous pass mutated.
+    // may touch that type meanwhile).
     if (owned[core_id] >= 0) {
         std::size_t ti = static_cast<std::size_t>(owned[core_id]);
         OpRecorder rec(out, types[ti].isTx ? FuncTag::SendDispatch
@@ -88,40 +64,6 @@ EventRegisterDispatcher::next(unsigned core_id, OpList &out)
     }
 
     const std::size_t n = types.size();
-    if (cache) {
-        // Pure claimability scan; the empty-handed register scan is the
-        // steady-state hot path and its emission depends only on the
-        // rotation (every type pays its bit test, claimed or not).
-        bool claimable = false;
-        for (std::size_t i = 0; i < n && !claimable; ++i) {
-            const EventType &t = types[(rotate + i) % n];
-            claimable = !t.busy && (tasks.*(t.ready))();
-        }
-        if (!claimable) {
-            unsigned start = rotate++;
-            std::uint64_t key = OpCache::seed(eventRegSalt);
-            key = OpCache::mix(key, start % n);
-            const OpCache::Entry *hit = cache->lookup(key);
-            if (hit && !cache->verify()) {
-                out.ops.assign(hit->ops.begin(), hit->ops.end());
-                out.actions.clear();
-                out.idlePoll = true;
-                panic_if(hit->actionCount != 0,
-                         "[opcache] cached idle scan carries actions");
-                ++idle;
-                return;
-            }
-            recordIdleScan(start, out);
-            ++idle;
-            if (hit)
-                cache->verifyAgainst(*hit, out,
-                                     "event-register idle scan");
-            else
-                cache->insert(key, out);
-            return;
-        }
-    }
-
     // Read the event register (one load: the hardware maintains the
     // bit vector) and scan for a set bit whose type is unowned.
     OpRecorder rec(out, FuncTag::Idle);
@@ -153,9 +95,6 @@ EventRegisterDispatcher::next(unsigned core_id, OpList &out)
         out.idlePoll = true;
         ++idle;
     } else {
-        // Tag at service entry: the event-register read recorded before
-        // the claim was known belongs to the claimed type's dispatch
-        // bucket, not Idle.
         // Tag at service entry: the event-register read recorded before
         // the claim was known belongs to the claimed type's dispatch
         // bucket, not Idle.

@@ -22,8 +22,6 @@
 
 namespace tengig {
 
-class OpCache;
-
 class EventRegisterDispatcher : public Dispatcher
 {
   public:
@@ -32,14 +30,9 @@ class EventRegisterDispatcher : public Dispatcher
      *        before the core re-reads the event register (bounds the
      *        length of one op stream; the type stays owned across
      *        activations until drained).
-     * @param cache Optional op-cache.  Only the empty-handed scan is
-     *        cached: a claimed type's drain loop re-evaluates its
-     *        ready() predicate against state mutated by the previous
-     *        pass, which no up-front key can fold.
      */
     EventRegisterDispatcher(FwTasks &tasks, unsigned max_cores,
-                            unsigned max_passes = 4,
-                            OpCache *cache = nullptr);
+                            unsigned max_passes = 4);
 
     void next(unsigned core_id, OpList &out) override;
 
@@ -68,11 +61,7 @@ class EventRegisterDispatcher : public Dispatcher
     /** Run the owned type until drained or the pass cap. */
     bool service(OpRecorder &rec, unsigned core_id, std::size_t type);
 
-    /** Record the empty-handed register scan live (rotation @p start). */
-    void recordIdleScan(unsigned start, OpList &out);
-
     FwTasks &tasks;
-    OpCache *cache;
     std::vector<EventType> types;
     std::vector<int> owned;     //!< per-core owned type (-1 = none)
     Addr eventRegAddr;

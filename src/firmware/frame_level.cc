@@ -1,44 +1,30 @@
 #include "frame_level.hh"
 
 #include "firmware/calibration.hh"
-#include "firmware/op_cache.hh"
 
 namespace tengig {
 
-namespace {
-/** Key-space salt separating frame-level keys from other dispatchers. */
-constexpr std::uint64_t frameLevelSalt = 0x66726d6c; // 'frml'
-} // namespace
-
-FrameLevelDispatcher::FrameLevelDispatcher(FwTasks &tasks_,
-                                           OpCache *cache_)
-    : tasks(tasks_), cache(cache_)
+FrameLevelDispatcher::FrameLevelDispatcher(FwTasks &tasks_)
+    : tasks(tasks_)
 {
     FwState &st = tasks.st();
     // Completion-side work first (drains the pipeline), intake last.
     checks = {
         {true, st.counterAddr(FwState::CtrTxCmdsCompleted),
-         &FwTasks::processTxDmaReady, &FwTasks::tryProcessTxDma,
-         &FwTasks::pathKeyProcessTxDma},
+         &FwTasks::processTxDmaReady, &FwTasks::tryProcessTxDma},
         {false, st.counterAddr(FwState::CtrRxCmdsCompleted),
-         &FwTasks::processRxDmaReady, &FwTasks::tryProcessRxDma,
-         &FwTasks::pathKeyProcessRxDma},
+         &FwTasks::processRxDmaReady, &FwTasks::tryProcessRxDma},
         {true, st.counterAddr(FwState::CtrMacTxDone),
          &FwTasks::processTxCompleteReady,
-         &FwTasks::tryProcessTxComplete,
-         &FwTasks::pathKeyProcessTxComplete},
+         &FwTasks::tryProcessTxComplete},
         {false, st.counterAddr(FwState::CtrMacRxStored),
-         &FwTasks::recvFrameReady, &FwTasks::tryRecvFrame,
-         &FwTasks::pathKeyRecvFrame},
+         &FwTasks::recvFrameReady, &FwTasks::tryRecvFrame},
         {true, st.counterAddr(FwState::CtrTxBdArrived),
-         &FwTasks::sendFrameReady, &FwTasks::trySendFrame,
-         &FwTasks::pathKeySendFrame},
+         &FwTasks::sendFrameReady, &FwTasks::trySendFrame},
         {false, st.counterAddr(FwState::CtrHostRecvBds),
-         &FwTasks::fetchRecvBdReady, &FwTasks::tryFetchRecvBd,
-         &FwTasks::pathKeyFetchRecvBd},
+         &FwTasks::fetchRecvBdReady, &FwTasks::tryFetchRecvBd},
         {true, st.counterAddr(FwState::CtrHostPostedBds),
-         &FwTasks::fetchSendBdReady, &FwTasks::tryFetchSendBd,
-         &FwTasks::pathKeyFetchSendBd},
+         &FwTasks::fetchSendBdReady, &FwTasks::tryFetchSendBd},
     };
 }
 
@@ -47,26 +33,10 @@ FrameLevelDispatcher::next(unsigned core_id, OpList &out)
 {
     // Rotate the scan start point so cores do not converge on the same
     // queue, and so successive polls by one core cover all sources.
-    unsigned start = (core_id + rotate++) % checks.size();
-    if (cache) {
-        cachedNext(start, out);
-        return;
-    }
-    std::size_t j = checks.size();
-    for (std::size_t i = 0; i < checks.size(); ++i) {
-        if ((tasks.*(checks[(start + i) % checks.size()].ready))()) {
-            j = i;
-            break;
-        }
-    }
-    recordLive(start, j, out);
-}
-
-void
-FrameLevelDispatcher::cachedNext(unsigned start, OpList &out)
-{
     const std::size_t n = checks.size();
-    // Pure predicate scan: which check will claim work this pass.
+    unsigned start = (core_id + rotate++) % n;
+    // Pure predicate scan: which check will claim work this pass
+    // (j == n means a full empty-handed pass).
     std::size_t j = n;
     for (std::size_t i = 0; i < n; ++i) {
         if ((tasks.*(checks[(start + i) % n].ready))()) {
@@ -75,55 +45,6 @@ FrameLevelDispatcher::cachedNext(unsigned start, OpList &out)
         }
     }
 
-    std::uint64_t key = OpCache::seed(frameLevelSalt);
-    key = OpCache::mix(key, start);
-    key = OpCache::mix(key, j);
-    if (j < n) {
-        FwTasks::PathKey pk = (tasks.*(checks[(start + j) % n].key))();
-        if (!pk.cacheable) {
-            cache->noteBypass();
-            recordLive(start, j, out);
-            return;
-        }
-        key = OpCache::mix(key, pk.key);
-    }
-
-    const OpCache::Entry *hit = cache->lookup(key);
-    if (hit && !cache->verify()) {
-        out.ops.assign(hit->ops.begin(), hit->ops.end());
-        out.idlePoll = hit->idlePoll;
-        // Muted recorder: the handler's functional state transition
-        // (claims, lock flips, flag words, fresh action closures) still
-        // happens; only the emission is skipped.
-        OpRecorder rec = OpRecorder::replayInto(out, FuncTag::Idle);
-        if (j < n) {
-            bool worked = (tasks.*(checks[(start + j) % n].run))(rec);
-            panic_if(!worked, "[opcache] frame-level check ", j,
-                     " was ready but refused work on a cached path");
-            ++found;
-        } else {
-            ++idle;
-        }
-        panic_if(out.actions.size() != hit->actionCount,
-                 "[opcache] frame-level replay produced ",
-                 out.actions.size(), " actions, cached stream has ",
-                 hit->actionCount,
-                 " -- a stream-affecting input is missing from the key");
-        return;
-    }
-
-    recordLive(start, j, out);
-    if (hit)
-        cache->verifyAgainst(*hit, out, "frame-level dispatch");
-    else
-        cache->insert(key, out);
-}
-
-void
-FrameLevelDispatcher::recordLive(unsigned start, std::size_t j,
-                                 OpList &out)
-{
-    const std::size_t n = checks.size();
     // Tag at service entry: the recorder opens in the first scanned
     // check's dispatch bucket, never Idle.
     const Check &c0 = checks[start];

@@ -18,14 +18,10 @@
 
 namespace tengig {
 
-class OpCache;
-
 class FrameLevelDispatcher : public Dispatcher
 {
   public:
-    /** @param cache Optional op-cache; nullptr records every poll. */
-    explicit FrameLevelDispatcher(FwTasks &tasks,
-                                  OpCache *cache = nullptr);
+    explicit FrameLevelDispatcher(FwTasks &tasks);
 
     void next(unsigned core_id, OpList &out) override;
 
@@ -50,21 +46,9 @@ class FrameLevelDispatcher : public Dispatcher
         Addr pollAddr;                       //!< progress word polled
         bool (FwTasks::*ready)() const;
         bool (FwTasks::*run)(OpRecorder &);
-        FwTasks::PathKey (FwTasks::*key)() const;
     };
 
-    /** Cache-enabled dispatch: predicate scan, key, replay or record. */
-    void cachedNext(unsigned start, OpList &out);
-
-    /**
-     * Record the poll pass live, exactly as the uncached dispatcher
-     * emits it: poll ops for checks [0, j], handler body at j (j ==
-     * checks.size() means a full empty-handed pass, retagged Idle).
-     */
-    void recordLive(unsigned start, std::size_t j, OpList &out);
-
     FwTasks &tasks;
-    OpCache *cache;
     std::vector<Check> checks;
     unsigned rotate = 0;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "fault/fault.hh"
-#include "firmware/op_cache.hh"
 
 namespace tengig {
 
@@ -40,8 +39,6 @@ FwTasks::aluH(OpRecorder &rec, unsigned n)
 void
 FwTasks::touch(OpRecorder &rec, Addr base, unsigned n)
 {
-    if (!rec.live())
-        return;
     // Walk the frame's metadata block at (cache-)line stride: real
     // per-frame state is many small structures (frame descriptor, DMA
     // descriptors, offload context), so consecutive accesses rarely
@@ -116,7 +113,7 @@ FwTasks::undoLock(FwLock l)
 void
 FwTasks::queueStatusUpdate(OpRecorder &rec, FuncTag tag, Addr status_at)
 {
-    if (state.config.idealMode || !rec.live())
+    if (state.config.idealMode)
         return;
     FuncTag saved = rec.tag();
     rec.tag(tag);
@@ -138,7 +135,7 @@ void
 FwTasks::eventPerFrame(OpRecorder &rec, FuncTag tag, std::uint64_t first,
                        std::uint64_t n, bool tx)
 {
-    if (state.config.idealMode || !rec.live())
+    if (state.config.idealMode)
         return;
     FuncTag saved = rec.tag();
     rec.tag(tag);
@@ -166,12 +163,6 @@ FwTasks::setStatusFlag(OpRecorder &rec, Addr flag_base, std::uint64_t seq,
 {
     Addr word = state.flagWordAddr(flag_base, seq);
     unsigned bit = state.flagBit(seq) % 32;
-    if (!rec.live()) {
-        // Replay: the emission below is cached; only the functional
-        // flag-bit update must still happen.
-        state.spad.functionalAtomicSet(word, bit);
-        return;
-    }
     FuncTag saved = rec.tag();
     rec.tag(tag);
     if (state.config.rmwEnhanced) {
@@ -735,22 +726,19 @@ FwTasks::tryProcessTxComplete(OpRecorder &rec)
                       state.counterAddr(FwState::CtrTxComplProcessed));
 
     rec.tag(FuncTag::SendFrame);
-    if (rec.live()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            aluH(rec, cal::txCompletePerFrameAlu);
-            // Reads the frame state the Send Frame stage wrote, usually
-            // from a different core (migratory sharing).
-            Addr info_at = state.txInfoBase +
-                ((upto - n + i) % state.config.txSlots) *
-                FwState::infoBytes;
-            for (unsigned k = 0; k < cal::txCompletePerFrameLoads; ++k)
-                rec.load(info_at + 16 * k);
-        }
-        // One batched consumed-index writeback for the whole bundle.
-        aluH(rec, cal::txCompleteWritebackAlu);
-        for (unsigned k = 0; k < cal::txCompleteWritebackStores; ++k)
-            rec.store(state.counterAddr(FwState::CtrTxComplProcessed));
+    for (std::uint64_t i = 0; i < n; ++i) {
+        aluH(rec, cal::txCompletePerFrameAlu);
+        // Reads the frame state the Send Frame stage wrote, usually
+        // from a different core (migratory sharing).
+        Addr info_at = state.txInfoBase +
+            ((upto - n + i) % state.config.txSlots) * FwState::infoBytes;
+        for (unsigned k = 0; k < cal::txCompletePerFrameLoads; ++k)
+            rec.load(info_at + 16 * k);
     }
+    // One batched consumed-index writeback for the whole bundle.
+    aluH(rec, cal::txCompleteWritebackAlu);
+    for (unsigned k = 0; k < cal::txCompleteWritebackStores; ++k)
+        rec.store(state.counterAddr(FwState::CtrTxComplProcessed));
     state.spad.storage().storeWord(
         state.counterAddr(FwState::CtrTxComplProcessed),
         static_cast<std::uint32_t>(upto));
@@ -889,16 +877,14 @@ FwTasks::tryRecvFrame(OpRecorder &rec)
     // Receive-side dispatch extras: hardware descriptor ring walk,
     // return-ring management, notification coalescing.
     rec.tag(FuncTag::RecvDispatch);
-    if (rec.live()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Addr at = state.rxInfoBase +
-                ((first + i) % state.config.rxSlots) * FwState::infoBytes;
-            for (unsigned k = 0; k < cal::recvDispatchExtraLoads; ++k)
-                rec.load(at + 16 * k + 256);
-            aluH(rec, cal::recvDispatchExtraAlu);
-            for (unsigned k = 0; k < cal::recvDispatchExtraStores; ++k)
-                rec.store(at + 16 * k + 260);
-        }
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Addr at = state.rxInfoBase +
+            ((first + i) % state.config.rxSlots) * FwState::infoBytes;
+        for (unsigned k = 0; k < cal::recvDispatchExtraLoads; ++k)
+            rec.load(at + 16 * k + 256);
+        aluH(rec, cal::recvDispatchExtraAlu);
+        for (unsigned k = 0; k < cal::recvDispatchExtraStores; ++k)
+            rec.store(at + 16 * k + 260);
     }
 
     auto &storage = state.spad.storage();
@@ -924,7 +910,7 @@ FwTasks::tryRecvFrame(OpRecorder &rec)
             rec.store(bd_at + 12);
         rec.tag(FuncTag::FetchRecvBd);
     }
-    if (state.config.rmwEnhanced && rec.live()) {
+    if (state.config.rmwEnhanced) {
         // Contention retries on the remaining receive-path lock (see
         // calibration.hh).
         rec.tag(FuncTag::RecvLock);
@@ -1142,320 +1128,6 @@ FwTasks::tryProcessRxDma(OpRecorder &rec)
         unlock(rec, FwLock::RxOrder, FuncTag::RecvLock);
     rec.action([this] { state.rxCommitBusy = false; });
     return true;
-}
-
-// ---------------------------------------------------------------------
-// Op-cache path keys (DESIGN.md §14)
-// ---------------------------------------------------------------------
-//
-// Each pathKeyX() mirrors its tryX() twin, folding -- in emission
-// order -- every branch input and address-generating value the handler
-// consumes: lock outcomes, bundle sizes, ring offsets, commit-stage
-// branches, flag-word contents around the commit pointer.  Per-run
-// constants (calibration values, layout addresses, ring capacities,
-// rmwEnhanced / idealMode) are deliberately omitted: the cache lives
-// for a single run.  Keep these functions in lockstep with the
-// handlers; `opCacheVerify` and the cache-on/off equivalence suite
-// exist to catch drift.
-
-namespace {
-
-/** Distinct key spaces per handler. */
-enum PathSalt : std::uint64_t
-{
-    SaltFetchSendBd = 1,
-    SaltSendFrame,
-    SaltTxDma,
-    SaltTxComplete,
-    SaltFetchRecvBd,
-    SaltRecvFrame,
-    SaltRxDma,
-};
-
-inline bool
-held(const FwState &st, FwLock l)
-{
-    return st.lockHeld[static_cast<unsigned>(l)];
-}
-
-} // namespace
-
-FwTasks::PathKey
-FwTasks::pathKeyFetchSendBd() const
-{
-    // Everything past the lock is static: the batch size and ring
-    // offsets only appear in the action closure and functional state.
-    std::uint64_t h = OpCache::seed(SaltFetchSendBd);
-    h = OpCache::mix(h, held(state, FwLock::SendDispatch));
-    return {h, true};
-}
-
-FwTasks::PathKey
-FwTasks::pathKeySendFrame() const
-{
-    std::uint64_t h = OpCache::seed(SaltSendFrame);
-    bool spin = held(state, FwLock::SendDispatch);
-    h = OpCache::mix(h, spin);
-    if (spin)
-        return {h, true};
-    std::uint64_t avail = dist(state.txBdArrivedFrames(),
-                               state.txClaimedFrames);
-    std::uint64_t slots = state.config.txSlots -
-        dist(state.txClaimedFrames, state.txFreedFrames);
-    std::uint64_t n = std::min<std::uint64_t>(
-        {avail, slots, state.config.bundleFrames});
-    std::uint64_t first = state.txClaimedFrames;
-    unsigned cache = state.config.bdCacheBds;
-    unsigned segs = state.config.tsoSegments;
-    h = OpCache::mix(h, n);
-    for (std::uint64_t seq = first; seq < first + n; ++seq) {
-        h = OpCache::mix(h, seq % state.config.txSlots);
-        unsigned seg = static_cast<unsigned>(seq % segs);
-        h = OpCache::mix(h, seg);
-        if (seg == 0)
-            h = OpCache::mix(h, (seq / segs * 2) % cache);
-    }
-    return {h, true};
-}
-
-FwTasks::PathKey
-FwTasks::pathKeyProcessTxComplete() const
-{
-    std::uint64_t h = OpCache::seed(SaltTxComplete);
-    bool spin = held(state, FwLock::SendDispatch);
-    h = OpCache::mix(h, spin);
-    if (spin)
-        return {h, true};
-    std::uint64_t n = std::min<std::uint64_t>(
-        dist(state.macTxDone, state.txComplProcessed),
-        state.config.maxCommitPerPass);
-    h = OpCache::mix(h, n);
-    // Per-frame info loads walk consecutive slots from the old pointer.
-    h = OpCache::mix(h, state.txComplProcessed % state.config.txSlots);
-    return {h, true};
-}
-
-FwTasks::PathKey
-FwTasks::pathKeyFetchRecvBd() const
-{
-    std::uint64_t h = OpCache::seed(SaltFetchRecvBd);
-    h = OpCache::mix(h, held(state, FwLock::RecvDispatch));
-    return {h, true};
-}
-
-FwTasks::PathKey
-FwTasks::pathKeyRecvFrame() const
-{
-    std::uint64_t h = OpCache::seed(SaltRecvFrame);
-    bool spin_pop = held(state, FwLock::RxBdPop);
-    h = OpCache::mix(h, spin_pop);
-    if (spin_pop)
-        return {h, true};
-    bool spin_disp = held(state, FwLock::RecvDispatch);
-    h = OpCache::mix(h, spin_disp);
-    if (spin_disp)
-        return {h, true};
-    std::uint64_t n = std::min<std::uint64_t>(
-        {dist(state.macRxStored, state.rxClaimedFrames),
-         static_cast<std::uint64_t>(state.rxBdAvail()),
-         state.config.bundleFrames});
-    h = OpCache::mix(h, n);
-    // All per-frame addresses are linear in these two ring offsets.
-    h = OpCache::mix(h, state.rxClaimedFrames % state.config.rxSlots);
-    h = OpCache::mix(h, state.rxBdConsumedBds % state.config.bdCacheBds);
-    return {h, true};
-}
-
-unsigned
-FwTasks::previewCommitScan(Addr flag_base, std::uint64_t from,
-                           unsigned max, std::uint64_t &h,
-                           const Addr *pend_word,
-                           const std::uint32_t *pend_mask,
-                           unsigned n_pend) const
-{
-    const auto &storage = state.spad.storage();
-    // Local word overlay: seeded lazily from the scratchpad plus the
-    // pending bits, then mutated by simulated clears.  A scan touches
-    // at most ~max/32 + 2 words; the cap is generous.
-    constexpr unsigned ov_cap = 48;
-    Addr ov_word[ov_cap];
-    std::uint32_t ov_val[ov_cap];
-    unsigned ov_n = 0;
-    auto wordVal = [&](Addr w) -> std::uint32_t & {
-        for (unsigned k = 0; k < ov_n; ++k)
-            if (ov_word[k] == w)
-                return ov_val[k];
-        panic_if(ov_n >= ov_cap,
-                 "[opcache] flag-preview overlay overflow");
-        std::uint32_t v = storage.loadWord(w);
-        for (unsigned k = 0; k < n_pend; ++k)
-            if (pend_word[k] == w)
-                v |= pend_mask[k];
-        ov_word[ov_n] = w;
-        ov_val[ov_n] = v;
-        return ov_val[ov_n++];
-    };
-
-    unsigned committed = 0;
-    if (state.config.rmwEnhanced) {
-        // Mirrors commitScan's update-RMW loop: each pass clears the
-        // whole consecutive run in its word (not bounded by max).
-        while (committed < max) {
-            std::uint64_t seq = from + committed;
-            Addr word = state.flagWordAddr(flag_base, seq);
-            unsigned bit = state.flagBit(seq) % 32;
-            std::uint32_t &v = wordVal(word);
-            unsigned n = 0;
-            while (bit + n < 32 && (v & (1u << (bit + n)))) {
-                v &= ~(1u << (bit + n));
-                ++n;
-            }
-            h = OpCache::mix(h, word);
-            h = OpCache::mix(h, n);
-            committed += n;
-            if (bit + n < 32)
-                break;
-        }
-    } else {
-        while (committed < max) {
-            std::uint64_t seq = from + committed;
-            Addr word = state.flagWordAddr(flag_base, seq);
-            unsigned bit = state.flagBit(seq) % 32;
-            std::uint32_t &v = wordVal(word);
-            unsigned cleared = 0;
-            while (bit + cleared < 32 && committed + cleared < max &&
-                   (v & (1u << (bit + cleared)))) {
-                v &= ~(1u << (bit + cleared));
-                ++cleared;
-            }
-            h = OpCache::mix(h, word);
-            h = OpCache::mix(h, cleared);
-            committed += cleared;
-            if (bit + cleared < 32 || cleared == 0)
-                break;
-        }
-    }
-    return committed;
-}
-
-FwTasks::PathKey
-FwTasks::pathKeyProcessDma(bool tx) const
-{
-    if (tx && commitAdmit) {
-        // The vnic MAC-commit rate gate charges per-VF buckets inside
-        // the commit loop; its admit/stall decisions cannot be
-        // previewed without charging.  Record this path live.
-        return {0, false};
-    }
-    std::uint64_t h = OpCache::seed(tx ? SaltTxDma : SaltRxDma);
-    const bool sw = !state.config.rmwEnhanced && !state.config.idealMode;
-    const FwLock flag_lock = tx ? FwLock::TxFlag : FwLock::RxFlag;
-    const FwLock disp_lock = tx ? FwLock::SendDispatch
-                                : FwLock::RecvDispatch;
-    const FwLock order_lock = tx ? FwLock::TxOrder : FwLock::RxOrder;
-    const unsigned slots = tx ? state.config.txSlots
-                              : state.config.rxSlots;
-    const Addr flag_base = tx ? state.txFlagBase : state.rxFlagBase;
-    const std::uint64_t completed = tx ? state.txCmdsCompleted
-                                       : state.rxCmdsCompleted;
-    const std::uint64_t processed = tx ? state.txDmaProcessed
-                                       : state.rxDmaProcessed;
-    const std::uint64_t ordered_now = tx ? state.txOrderedReady
-                                         : state.rxOrderedReady;
-    const std::uint64_t committed_ptr = tx ? state.txMacEnqueued
-                                           : state.rxCommitted;
-    const bool commit_busy = tx ? state.txCommitBusy
-                                : state.rxCommitBusy;
-    const auto &cmd_seq = tx ? state.txCmdSeq : state.rxCmdSeq;
-
-    if (state.config.maxCommitPerPass > 1024) {
-        // Keeps the preview's fixed-size overlays sufficient; no real
-        // configuration is anywhere near this.
-        return {0, false};
-    }
-    std::uint64_t n = std::min<std::uint64_t>(
-        dist(completed, processed), state.config.maxCommitPerPass);
-    if (sw && n > 0 && held(state, flag_lock)) {
-        h = OpCache::mix(h, 1); // flag-lock spin variant
-        return {h, true};
-    }
-    h = OpCache::mix(h, 2);
-    bool spin = held(state, disp_lock);
-    h = OpCache::mix(h, spin);
-    if (spin)
-        return {h, true};
-
-    std::uint64_t first = processed;
-    h = OpCache::mix(h, n);
-    h = OpCache::mix(h, first % slots);
-    // The flag-marking stage: fold each frame's flag word (setStatusFlag
-    // emission depends only on the word address) and remember the bits
-    // it will set -- the same invocation's commit scan reads them.
-    constexpr unsigned pend_cap = 64;
-    if (n > pend_cap)
-        return {0, false}; // exotic maxCommitPerPass: record live
-    Addr pend_word[pend_cap] = {};
-    std::uint32_t pend_mask[pend_cap] = {};
-    unsigned n_pend = 0;
-    for (std::uint64_t i = first; i < first + n; ++i) {
-        std::uint64_t seq = cmd_seq[i % slots];
-        Addr word = state.flagWordAddr(flag_base, seq);
-        unsigned bit = state.flagBit(seq) % 32;
-        h = OpCache::mix(h, word);
-        unsigned k = 0;
-        while (k < n_pend && pend_word[k] != word)
-            ++k;
-        if (k == n_pend) {
-            pend_word[n_pend] = word;
-            pend_mask[n_pend] = 0;
-            ++n_pend;
-        }
-        pend_mask[k] |= 1u << bit;
-    }
-
-    bool commit = !commit_busy;
-    h = OpCache::mix(h, commit);
-    if (!commit)
-        return {h, true};
-
-    // Commit stage 1 runs against the *updated* processed pointer.
-    std::uint64_t ordered = ordered_now;
-    if (dist(first + n, ordered_now) > 0) {
-        if (sw && held(state, order_lock)) {
-            h = OpCache::mix(h, 3); // order-lock spin variant
-            return {h, true};
-        }
-        h = OpCache::mix(h, 4);
-        ordered += previewCommitScan(flag_base, ordered_now,
-                                     state.config.maxCommitPerPass, h,
-                                     pend_word, pend_mask, n_pend);
-    } else {
-        h = OpCache::mix(h, 5);
-    }
-
-    // Commit stage 2: enqueue/delivery loop size and ring offset.
-    std::size_t used = tx ? macTx.depth() + state.macTxReserved
-                          : dmaWrite.depth() + state.dmaWriteReserved;
-    std::size_t cap = tx ? macTx.capacity() : dmaWrite.capacity();
-    unsigned space = used < cap ? static_cast<unsigned>(cap - used) : 0;
-    unsigned count = static_cast<unsigned>(std::min<std::uint64_t>(
-        {dist(ordered, committed_ptr), space,
-         state.config.maxCommitPerPass}));
-    h = OpCache::mix(h, count);
-    h = OpCache::mix(h, committed_ptr % slots);
-    return {h, true};
-}
-
-FwTasks::PathKey
-FwTasks::pathKeyProcessTxDma() const
-{
-    return pathKeyProcessDma(true);
-}
-
-FwTasks::PathKey
-FwTasks::pathKeyProcessRxDma() const
-{
-    return pathKeyProcessDma(false);
 }
 
 // ---------------------------------------------------------------------

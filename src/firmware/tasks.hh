@@ -69,33 +69,6 @@ class FwTasks
     bool processRxDmaReady() const;
     /// @}
 
-    /**
-     * Op-cache path key for one task (DESIGN.md §14): a 64-bit fold of
-     * every input that can change the op stream the matching tryX()
-     * would record *right now* -- lock outcomes, bundle sizes, ring
-     * offsets, commit branches, flag-word contents.  Only valid when
-     * the task's ready() predicate holds, pure (no state mutated), and
-     * must be computed before tryX() runs.  `cacheable` is false when
-     * the stream depends on something the key cannot see (the vnic TX
-     * commit gate charges rate buckets mid-emission).
-     */
-    struct PathKey
-    {
-        std::uint64_t key = 0;
-        bool cacheable = true;
-    };
-
-    /// @name Path keys, one per task entry point
-    /// @{
-    PathKey pathKeyFetchSendBd() const;
-    PathKey pathKeySendFrame() const;
-    PathKey pathKeyProcessTxDma() const;
-    PathKey pathKeyProcessTxComplete() const;
-    PathKey pathKeyFetchRecvBd() const;
-    PathKey pathKeyRecvFrame() const;
-    PathKey pathKeyProcessRxDma() const;
-    /// @}
-
     /// @name Hardware / host glue
     /// @{
     void sendDoorbell(std::uint64_t total_bds);
@@ -203,23 +176,6 @@ class FwTasks
      */
     unsigned commitScan(OpRecorder &rec, Addr flag_base,
                         std::uint64_t from, unsigned max, FuncTag tag);
-
-    /**
-     * Pure preview of commitScan for path keying: walks the same flag
-     * words, folding each iteration's (word, cleared) into @p h, and
-     * returns what commitScan would commit -- without mutating the
-     * scratchpad.  The pend arrays hold flag bits the same invocation's
-     * flag-marking stage will set before the real scan runs; clears are
-     * simulated in a local overlay.
-     */
-    unsigned previewCommitScan(Addr flag_base, std::uint64_t from,
-                               unsigned max, std::uint64_t &h,
-                               const Addr *pend_word,
-                               const std::uint32_t *pend_mask,
-                               unsigned n_pend) const;
-
-    /** Shared TX/RX DMA-processing path key (the paths mirror). */
-    PathKey pathKeyProcessDma(bool tx) const;
 
     FwState &state;
     DmaAssist &dmaRead;

@@ -568,14 +568,6 @@ FleetRunner::run()
     return res;
 }
 
-void
-FleetRunner::report(stats::Report &r) const
-{
-    for (unsigned p = 0; p < nodes.size(); ++p)
-        nodes[p]->nic->statTree().dump(r, "nic." + std::to_string(p));
-    fleetRoot.dump(r);
-}
-
 obs::json::Value
 FleetRunner::reportJson(const FleetResults &res) const
 {

@@ -154,13 +154,6 @@ class FleetRunner
     const obs::StatGroup &fleetStats() const { return fleetRoot; }
 
     /**
-     * Flatten the whole fleet into one report: every instance's stat
-     * tree under "nic.<port>." plus the switch subtree under
-     * "switch.".
-     */
-    void report(stats::Report &r) const;
-
-    /**
      * Structured fleet report (tengig-fleet-v1): run parameters,
      * aggregate metrics, the switch stat subtree, and each instance's
      * full stat tree under nic.<port>.

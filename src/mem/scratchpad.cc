@@ -228,21 +228,6 @@ Scratchpad::consumedBandwidthGbps(Tick now) const
 }
 
 void
-Scratchpad::report(stats::Report &r, const std::string &prefix) const
-{
-    r.set(prefix + ".accesses", static_cast<double>(totalAccesses()));
-    r.set(prefix + ".reads", static_cast<double>(reads.value()));
-    r.set(prefix + ".writes", static_cast<double>(writes.value()));
-    r.set(prefix + ".rmws", static_cast<double>(rmws.value()));
-    r.set(prefix + ".conflictCycles",
-          static_cast<double>(totalConflictCycles()));
-    for (std::size_t i = 0; i < banks.size(); ++i) {
-        r.set(prefix + ".bank" + std::to_string(i) + ".accesses",
-              static_cast<double>(banks[i].accesses.value()));
-    }
-}
-
-void
 Scratchpad::registerStats(obs::StatGroup &g) const
 {
     g.derived("accesses",

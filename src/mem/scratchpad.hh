@@ -129,7 +129,6 @@ class Scratchpad : public Clocked
     std::uint64_t rmwAccesses() const { return rmws.value(); }
     /** Consumed bandwidth in Gb/s over [0, now]. */
     double consumedBandwidthGbps(Tick now) const;
-    void report(stats::Report &r, const std::string &prefix) const;
 
     /** Register counters into the owner's stat tree (src/obs). */
     void registerStats(obs::StatGroup &g) const;

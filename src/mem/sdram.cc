@@ -275,17 +275,6 @@ GddrSdram::readBytes(Addr addr, std::uint8_t *dst, std::size_t len) const
 }
 
 void
-GddrSdram::report(stats::Report &r, const std::string &prefix) const
-{
-    r.set(prefix + ".bursts", static_cast<double>(bursts.value()));
-    r.set(prefix + ".usefulBytes", static_cast<double>(useful.value()));
-    r.set(prefix + ".transferredBytes",
-          static_cast<double>(transferred.value()));
-    r.set(prefix + ".rowActivations",
-          static_cast<double>(activations.value()));
-}
-
-void
 GddrSdram::registerStats(obs::StatGroup &g) const
 {
     g.add("bursts", bursts, "granted bursts (run to completion)");

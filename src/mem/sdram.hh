@@ -131,8 +131,6 @@ class GddrSdram : public Clocked
         return beatBytes * 8.0 * clockDomain().frequencyMhz() * 1e6 / 1e9;
     }
 
-    void report(stats::Report &r, const std::string &prefix) const;
-
     /** Register counters into the owner's stat tree (src/obs). */
     void registerStats(obs::StatGroup &g) const;
     void resetStats();

@@ -285,14 +285,10 @@ NicController::build()
 
     fatal_if(cfg.taskLevelFirmware && cfg.firmware.idealMode,
              "task-level firmware has no ideal mode");
-    if (cfg.opCache)
-        opCache = std::make_unique<OpCache>(cfg.opCacheVerify);
     if (cfg.taskLevelFirmware)
-        dispatcher = std::make_unique<EventRegisterDispatcher>(
-            *tasks, P, 4, opCache.get());
+        dispatcher = std::make_unique<EventRegisterDispatcher>(*tasks, P);
     else
-        dispatcher = std::make_unique<FrameLevelDispatcher>(
-            *tasks, opCache.get());
+        dispatcher = std::make_unique<FrameLevelDispatcher>(*tasks);
 
     CodeLayout layout = CodeLayout::uniform(cal::codeRegionBytes);
     for (unsigned i = 0; i < P; ++i) {
@@ -525,13 +521,6 @@ NicController::registerAllStats()
         lk.derived("spins", [this, l] {
             return static_cast<double>(fwState->lockSpins[l]);
         });
-    }
-
-    if (opCache) {
-        // Registered only when enabled so cache-on/off stat trees
-        // differ exactly by this subtree (the equivalence suite strips
-        // it before comparing).
-        opCache->registerStats(statRoot.group("opcache"));
     }
 
     spad->registerStats(statRoot.group("spad"));
@@ -889,15 +878,6 @@ NicController::collect(Tick measured, std::uint64_t tx0_frames,
             static_cast<double>(rxLatencyHist.maxSample()) / us;
     }
     return r;
-}
-
-void
-NicController::report(stats::Report &r) const
-{
-    // A flat dump of the registered tree: every component put its
-    // stats there at construction (registerAllStats), so the names
-    // are the same ones the tree's checked lookups resolve.
-    statRoot.dump(r);
 }
 
 NicResults

@@ -17,7 +17,6 @@
 #include "fault/fault.hh"
 #include "fault/watchdog.hh"
 #include "firmware/frame_level.hh"
-#include "firmware/op_cache.hh"
 #include "firmware/tasks.hh"
 #include "host/driver.hh"
 #include "mem/host_memory.hh"
@@ -191,16 +190,8 @@ class NicController
     /// @}
 
     /**
-     * Fill a flat stats report covering every component: cores (per
-     * core and totals), firmware profile buckets, memory system,
-     * link, and validation counters.
-     */
-    void report(stats::Report &r) const;
-
-    /**
      * The registered stat tree spanning every component.  Lookups are
-     * checked (an unknown dotted path is fatal); report() is a flat
-     * dump of this tree.
+     * checked (an unknown dotted path is fatal).
      */
     const obs::StatGroup &statTree() const { return statRoot; }
 
@@ -345,7 +336,6 @@ class NicController
 
     std::unique_ptr<FwState> fwState;
     std::unique_ptr<FwTasks> tasks;
-    std::unique_ptr<OpCache> opCache; //!< null when cfg.opCache off
     std::unique_ptr<Dispatcher> dispatcher;
 
     FirmwareProfile profile;

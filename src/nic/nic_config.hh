@@ -52,19 +52,6 @@ struct NicConfig
     bool idleSleep = false;
 
     /**
-     * Host-simulator acceleration: cache decoded micro-op streams per
-     * (dispatcher, path) and replay steady-state invocations as a flat
-     * POD copy while the handler still runs its functional state
-     * transition with a muted recorder (DESIGN.md §14).  Bit-identical
-     * by construction -- the same events fire with the same op streams
-     * -- and pinned down by the cache-on/off equivalence suite.  On by
-     * default; `opCacheVerify` re-records every hit live and
-     * byte-compares it against the cached stream (slow, for tests).
-     */
-    bool opCache = true;
-    bool opCacheVerify = false;
-
-    /**
      * Deterministic fault injection (src/fault).  Disabled by default
      * (all rates zero, watchdog off): every fault hook is then
      * structurally absent and runs are bit-identical to a build without

@@ -212,35 +212,6 @@ StatGroup::names() const
     return out;
 }
 
-void
-StatGroup::dump(stats::Report &r, const std::string &prefix) const
-{
-    for (const auto &[name, e] : entries) {
-        std::string full = prefix.empty() ? name : prefix + "." + name;
-        switch (e.kind) {
-          case Kind::CounterK:
-            r.set(full, static_cast<double>(e.counter->value()));
-            break;
-          case Kind::AverageK:
-            r.set(full, e.average->mean());
-            break;
-          case Kind::HistogramK:
-            r.set(full + ".mean", e.histogram->mean());
-            r.set(full + ".count",
-                  static_cast<double>(e.histogram->count()));
-            r.set(full + ".p50", e.histogram->p50());
-            r.set(full + ".p95", e.histogram->p95());
-            r.set(full + ".p99", e.histogram->p99());
-            break;
-          case Kind::DerivedK:
-            r.set(full, e.fn());
-            break;
-        }
-    }
-    for (const auto &[name, child] : children)
-        child->dump(r, prefix.empty() ? name : prefix + "." + name);
-}
-
 json::Value
 StatGroup::toJson() const
 {

@@ -4,9 +4,8 @@
  *
  * Components register their Counter / Average / Histogram members (and
  * derived values as closures) into a StatGroup by dotted name at
- * construction time, replacing the old fill-a-Report-at-dump-time
- * convention.  The registry holds live references, so a report or a
- * JSON document can be produced at any simulated time, and lookups are
+ * construction time.  The registry holds live references, so a JSON
+ * document can be produced at any simulated time, and lookups are
  * checked: resolving a name that was never registered is a fatal
  * error, never a silent 0.0.
  *
@@ -74,12 +73,6 @@ class StatGroup
 
     /** Every registered dotted path under this group, sorted. */
     std::vector<std::string> names() const;
-
-    /**
-     * Flatten into a Report.  Scalars become one entry; histograms
-     * expand to .mean/.count/.p50/.p95/.p99.
-     */
-    void dump(stats::Report &r, const std::string &prefix = "") const;
 
     /** Structured snapshot (groups nest; histograms summarize). */
     json::Value toJson() const;

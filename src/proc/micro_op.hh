@@ -15,10 +15,7 @@
  * MicroOps are 12-byte trivially-copyable PODs; the action closures live
  * out-of-line in the OpList's `actions` vector and are consumed in
  * stream order when the replay reaches each Action op.  That split keeps
- * re-emission cheap (no per-op closure construction/destruction) and is
- * what lets the op-cache (src/firmware/op_cache.hh) replay a cached
- * stream as a flat POD array copy while the handler still produces fresh
- * per-invocation actions.
+ * re-emission cheap (no per-op closure construction/destruction).
  */
 
 #ifndef TENGIG_PROC_MICRO_OP_HH
@@ -84,16 +81,7 @@ struct MicroOp
 };
 
 static_assert(std::is_trivially_copyable_v<MicroOp>,
-              "op streams must be flat-copyable for cached replay");
-
-/** Field-wise equality: the struct has padding, so memcmp is not a
- *  valid comparison (padding bytes are indeterminate). */
-constexpr bool
-operator==(const MicroOp &a, const MicroOp &b)
-{
-    return a.kind == b.kind && a.tag == b.tag && a.count == b.count &&
-           a.hazard == b.hazard && a.addr == b.addr;
-}
+              "action closures belong in OpList::actions, not in ops");
 
 /**
  * A recorded handler invocation: the op stream plus bookkeeping the
@@ -125,16 +113,6 @@ struct OpList
 
 /**
  * Builder used by firmware handlers to record their op stream.
- *
- * Two modes:
- *  - *recording* (the default): every call appends MicroOps to the
- *    target list;
- *  - *replay* (op-cache hits, see replayInto()): the target already
- *    holds a cached POD op stream, so the emission calls (tag/alu/
- *    load/store/rmw) become no-ops and only action() still collects --
- *    handlers always run their functional state transition and produce
- *    fresh per-invocation closures, which the replay consumes in the
- *    cached stream's Action positions.
  */
 class OpRecorder
 {
@@ -154,21 +132,6 @@ class OpRecorder
         target.clear();
     }
 
-    /**
-     * Replay mode: @p target's `ops` already hold a cached stream (only
-     * its stale actions are cleared).  Emission calls are muted;
-     * action() appends as usual.
-     */
-    static OpRecorder
-    replayInto(OpList &target, FuncTag initial)
-    {
-        target.actions.clear();
-        return OpRecorder(&target, initial);
-    }
-
-    /** False in replay mode: emission-only work can be skipped. */
-    bool live() const { return isLive; }
-
     /** Switch the accounting bucket for subsequent ops. */
     void tag(FuncTag t) { cur = t; }
     FuncTag tag() const { return cur; }
@@ -177,7 +140,7 @@ class OpRecorder
     void
     alu(unsigned n, unsigned hazard_cycles = 0)
     {
-        if (!isLive || (n == 0 && hazard_cycles == 0))
+        if (n == 0 && hazard_cycles == 0)
             return;
         // Merge with a preceding Alu op in the same bucket to keep the
         // replayed stream compact.
@@ -212,12 +175,10 @@ class OpRecorder
         OpList::Action a(std::forward<F>(fn));
         if (!a)
             return;
-        if (isLive) {
-            MicroOp op;
-            op.kind = OpKind::Action;
-            op.tag = cur;
-            list->ops.push_back(op);
-        }
+        MicroOp op;
+        op.kind = OpKind::Action;
+        op.tag = cur;
+        list->ops.push_back(op);
         list->actions.push_back(std::move(a));
     }
 
@@ -225,15 +186,9 @@ class OpRecorder
     bool empty() const { return list->ops.empty(); }
 
   private:
-    OpRecorder(OpList *target, FuncTag initial)
-        : list(target), cur(initial), isLive(false)
-    {}
-
     void
     mem(OpKind kind, Addr addr)
     {
-        if (!isLive)
-            return;
         panic_if(addr > 0xffffffffu,
                  "micro-op scratchpad address out of range: ", addr);
         MicroOp op;
@@ -246,7 +201,6 @@ class OpRecorder
     OpList owned;
     OpList *list;
     FuncTag cur;
-    bool isLive = true;
 };
 
 /**

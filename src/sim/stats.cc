@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 
 namespace tengig {
 namespace stats {
@@ -43,18 +42,6 @@ Histogram::percentile(double q) const
     // The rank lands in the overflow bucket: the best bound we have is
     // the observed maximum.
     return static_cast<double>(mx);
-}
-
-void
-Report::print(std::ostream &os, const std::string &prefix) const
-{
-    for (const auto &[name, value] : values) {
-        if (!prefix.empty() && name.rfind(prefix, 0) != 0)
-            continue;
-        os << std::left << std::setw(48) << name << " "
-           << std::right << std::setw(16) << std::setprecision(6)
-           << value << "\n";
-    }
 }
 
 } // namespace stats

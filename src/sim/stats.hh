@@ -3,14 +3,10 @@
  * Lightweight statistics primitives.
  *
  * Components own named counters / histograms registered into a StatGroup
- * tree (src/obs/stat_registry.hh) so experiment runners can dump a
- * coherent report.  The design is a deliberately small subset of gem5's
+ * tree (src/obs/stat_registry.hh), the one stats surface experiment
+ * runners read.  The design is a deliberately small subset of gem5's
  * stats package: scalar counters, averages, and fixed-bucket histograms
  * with percentile summaries.
- *
- * Lookups are checked: asking a Report for a name that was never set is
- * a fatal error (a typo'd stat name silently reading 0.0 once hid an
- * empty benchmark column); use getOr() when a default is intentional.
  */
 
 #ifndef TENGIG_SIM_STATS_HH
@@ -18,9 +14,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -159,54 +152,6 @@ class Histogram
     std::uint64_t n = 0;
     std::uint64_t total = 0;
     std::uint64_t mx = 0;
-};
-
-/**
- * Named scalar registry: a flat map of dotted stat names to values,
- * filled by components at dump time.
- */
-class Report
-{
-  public:
-    void
-    set(const std::string &name, double value)
-    {
-        values[name] = value;
-    }
-
-    /**
-     * Checked lookup: fatal on an unknown name.  A missing stat means
-     * a typo'd name or a component that never registered -- both are
-     * bugs worth failing on, not 0.0 data points.
-     */
-    double
-    get(const std::string &name) const
-    {
-        auto it = values.find(name);
-        fatal_if(it == values.end(), "no stat named '", name,
-                 "' in this report (", values.size(),
-                 " stats present); use getOr() for optional stats");
-        return it->second;
-    }
-
-    /** Lookup with an intentional default for optional stats. */
-    double
-    getOr(const std::string &name, double dflt) const
-    {
-        auto it = values.find(name);
-        return it == values.end() ? dflt : it->second;
-    }
-
-    bool has(const std::string &name) const { return values.count(name); }
-
-    std::size_t size() const { return values.size(); }
-
-    const std::map<std::string, double> &all() const { return values; }
-
-    void print(std::ostream &os, const std::string &prefix = "") const;
-
-  private:
-    std::map<std::string, double> values;
 };
 
 } // namespace stats

@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "equivalence.hh"
 #include "fleet/fleet.hh"
 #include "sim/logging.hh"
 
@@ -54,29 +58,16 @@ smallFleet(unsigned count, unsigned threads, bool forward)
     return fc;
 }
 
-void
-expectSameResults(const NicResults &a, const NicResults &b)
+/** Attach one Chrome trace per fleet node (before run()). */
+std::vector<std::unique_ptr<obs::TraceLog>>
+traceEveryNode(FleetRunner &fleet)
 {
-    EXPECT_EQ(a.measuredTicks, b.measuredTicks);
-    EXPECT_EQ(a.txFrames, b.txFrames);
-    EXPECT_EQ(a.rxFrames, b.rxFrames);
-    EXPECT_EQ(a.rxDropped, b.rxDropped);
-    EXPECT_EQ(a.errors, b.errors);
-    EXPECT_EQ(a.integrityErrors, b.integrityErrors);
-    EXPECT_EQ(a.orderGaps, b.orderGaps);
-    EXPECT_EQ(a.orderDuplicates, b.orderDuplicates);
-    EXPECT_EQ(a.flowsValidated, b.flowsValidated);
-    EXPECT_EQ(a.txUdpGbps, b.txUdpGbps);
-    EXPECT_EQ(a.rxUdpGbps, b.rxUdpGbps);
-    EXPECT_EQ(a.totalUdpGbps, b.totalUdpGbps);
-    EXPECT_EQ(a.aggregateIpc, b.aggregateIpc);
-    EXPECT_EQ(a.coreIpc, b.coreIpc);
-    EXPECT_EQ(a.rxLatency.count, b.rxLatency.count);
-    EXPECT_EQ(a.rxLatency.meanUs, b.rxLatency.meanUs);
-    EXPECT_EQ(a.rxLatency.p99Us, b.rxLatency.p99Us);
-    EXPECT_EQ(a.spadGbps, b.spadGbps);
-    EXPECT_EQ(a.sdramGbps, b.sdramGbps);
-    EXPECT_EQ(a.imemGbps, b.imemGbps);
+    std::vector<std::unique_ptr<obs::TraceLog>> logs;
+    for (unsigned i = 0; i < fleet.size(); ++i) {
+        logs.push_back(std::make_unique<obs::TraceLog>());
+        fleet.node(i).attachTrace(*logs.back());
+    }
+    return logs;
 }
 
 } // namespace
@@ -233,22 +224,24 @@ TEST(Fleet, ForwardingDeliversPeerFlowsWithoutErrors)
 TEST(Fleet, DeterministicAcrossThreadCounts)
 {
     FleetRunner serial(smallFleet(3, 1, true));
+    auto serial_logs = traceEveryNode(serial);
     FleetResults rs = serial.run();
 
     FleetRunner threaded(smallFleet(3, 4, true));
+    auto threaded_logs = traceEveryNode(threaded);
     FleetResults rt = threaded.run();
 
     ASSERT_EQ(rs.nic.size(), rt.nic.size());
-    for (std::size_t i = 0; i < rs.nic.size(); ++i) {
+    for (unsigned i = 0; i < rs.nic.size(); ++i) {
         SCOPED_TRACE("node " + std::to_string(i));
-        expectSameResults(rs.nic[i], rt.nic[i]);
+        // Results, the full stat tree and the trace, byte for byte.
+        equiv::expectIdenticalRuns(
+            equiv::snapshot(serial.node(i), rs.nic[i],
+                            serial_logs[i].get()),
+            equiv::snapshot(threaded.node(i), rt.nic[i],
+                            threaded_logs[i].get()));
         EXPECT_EQ(rs.wireHash[i], rt.wireHash[i]);
         EXPECT_EQ(rs.injectHash[i], rt.injectHash[i]);
-        // The full per-instance stat trees serialize byte-identically.
-        EXPECT_EQ(serial.node(static_cast<unsigned>(i))
-                      .statTree().toJson().dump(),
-                  threaded.node(static_cast<unsigned>(i))
-                      .statTree().toJson().dump());
     }
     EXPECT_EQ(rs.framesForwarded, rt.framesForwarded);
     EXPECT_EQ(rs.framesDropped, rt.framesDropped);
@@ -262,13 +255,16 @@ TEST(Fleet, IsolatedNodeMatchesStandaloneController)
     // classic single-instance runWindow() path bit-for-bit.
     FleetConfig fc = smallFleet(2, 2, false);
     FleetRunner fleet(fc);
+    auto logs = traceEveryNode(fleet);
     FleetResults res = fleet.run();
 
     for (unsigned i = 0; i < 2; ++i) {
         SCOPED_TRACE("node " + std::to_string(i));
-        NicController solo(fc.nodes[i]);
-        NicResults ref = solo.run(fc.warmupTicks, fc.measureTicks);
-        expectSameResults(ref, res.nic[i]);
+        equiv::RunSnapshot ref = equiv::runSnapshot(
+            fc.nodes[i], fc.warmupTicks, fc.measureTicks);
+        equiv::expectIdenticalRuns(
+            ref, equiv::snapshot(fleet.node(i), res.nic[i],
+                                 logs[i].get()));
     }
     EXPECT_EQ(res.framesForwarded, 0u);
 }
@@ -278,15 +274,11 @@ TEST(Fleet, ReportExposesPerInstanceSubtreesAndAggregate)
     FleetRunner fleet(smallFleet(2, 1, true));
     FleetResults res = fleet.run();
 
-    stats::Report rep;
-    fleet.report(rep);
-    EXPECT_TRUE(rep.has("nic.0.link.txFrames"));
-    EXPECT_TRUE(rep.has("nic.1.link.txFrames"));
-    EXPECT_TRUE(rep.has("switch.forwarded"));
-    EXPECT_EQ(rep.get("switch.forwarded"),
-              static_cast<double>(res.framesForwarded));
-
     obs::json::Value doc = fleet.reportJson(res);
+    EXPECT_NE(doc.at("nic").at("0").at("link").find("txFrames"), nullptr);
+    EXPECT_NE(doc.at("nic").at("1").at("link").find("txFrames"), nullptr);
+    EXPECT_EQ(doc.at("fleet").at("switch").at("forwarded").asNumber(),
+              static_cast<double>(res.framesForwarded));
     EXPECT_EQ(doc.at("schema").asString(), "tengig-fleet-v1");
     EXPECT_EQ(doc.at("nodes").asNumber(), 2.0);
     EXPECT_EQ(doc.at("determinism").at("wireHash").size(), 2u);

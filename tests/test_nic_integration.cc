@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "nic/controller.hh"
 
 using namespace tengig;
@@ -100,18 +98,15 @@ TEST(NicReport, FlatStatsCoverEveryComponent)
     cfg.cores = 2;
     NicController nic(cfg);
     nic.runTxOnly(100, 20 * tickPerMs);
-    stats::Report r;
-    nic.report(r);
-    EXPECT_TRUE(r.has("core0.instructions"));
-    EXPECT_TRUE(r.has("core1.ipc"));
-    EXPECT_TRUE(r.has("fw.Send_Frame.instructions"));
-    EXPECT_TRUE(r.has("spad.accesses"));
-    EXPECT_TRUE(r.has("sdram.usefulBytes"));
-    EXPECT_DOUBLE_EQ(r.get("link.txFrames"), 100.0);
-    EXPECT_DOUBLE_EQ(r.get("check.orderErrors"), 0.0);
-    EXPECT_DOUBLE_EQ(r.get("check.integrityErrors"), 0.0);
-    EXPECT_GT(r.get("fw.lock0.acquires"), 0.0);
-    std::ostringstream os;
-    r.print(os);
-    EXPECT_GT(os.str().size(), 500u);
+    const obs::StatGroup &t = nic.statTree();
+    EXPECT_TRUE(t.has("core0.instructions"));
+    EXPECT_TRUE(t.has("core1.ipc"));
+    EXPECT_TRUE(t.has("fw.Send_Frame.instructions"));
+    EXPECT_TRUE(t.has("spad.accesses"));
+    EXPECT_TRUE(t.has("sdram.usefulBytes"));
+    EXPECT_DOUBLE_EQ(t.value("link.txFrames"), 100.0);
+    EXPECT_DOUBLE_EQ(t.value("check.orderErrors"), 0.0);
+    EXPECT_DOUBLE_EQ(t.value("check.integrityErrors"), 0.0);
+    EXPECT_GT(t.value("fw.lock0.acquires"), 0.0);
+    EXPECT_GT(t.toJson().dump(2).size(), 500u);
 }

@@ -216,25 +216,22 @@ TEST(StatRegistry, DumpFlattensTreeWithDottedNames)
     root.derived("twiceBursts",
                  [&bursts] { return 2.0 * bursts.value(); });
 
-    stats::Report r;
-    root.dump(r, "nic");
-    EXPECT_DOUBLE_EQ(r.get("nic.sdram.bursts"), 3.0);
-    EXPECT_DOUBLE_EQ(r.get("nic.sdram.occupancy"), 3.0);
-    EXPECT_DOUBLE_EQ(r.get("nic.twiceBursts"), 6.0);
-    // Histograms expand to a percentile summary.
-    EXPECT_DOUBLE_EQ(r.get("nic.lat.rx.count"), 100.0);
-    EXPECT_DOUBLE_EQ(r.get("nic.lat.rx.mean"), lat.mean());
-    EXPECT_DOUBLE_EQ(r.get("nic.lat.rx.p50"), lat.p50());
-    EXPECT_DOUBLE_EQ(r.get("nic.lat.rx.p95"), lat.p95());
-    EXPECT_DOUBLE_EQ(r.get("nic.lat.rx.p99"), lat.p99());
-
-    // Without a prefix the names are bare dotted paths.
-    stats::Report flat;
-    root.dump(flat);
-    EXPECT_DOUBLE_EQ(flat.get("sdram.bursts"), 3.0);
+    // Every stat is addressable by its dotted path from the root.
+    EXPECT_DOUBLE_EQ(root.value("sdram.bursts"), 3.0);
+    EXPECT_DOUBLE_EQ(root.value("sdram.occupancy"), 3.0);
+    EXPECT_DOUBLE_EQ(root.value("twiceBursts"), 6.0);
+    // Histograms serialize to a percentile summary.
+    json::Value rx = root.toJson().at("lat").at("rx");
+    EXPECT_DOUBLE_EQ(rx.at("count").asNumber(), 100.0);
+    EXPECT_DOUBLE_EQ(rx.at("mean").asNumber(), lat.mean());
+    EXPECT_DOUBLE_EQ(rx.at("p50").asNumber(), lat.p50());
+    EXPECT_DOUBLE_EQ(rx.at("p95").asNumber(), lat.p95());
+    EXPECT_DOUBLE_EQ(rx.at("p99").asNumber(), lat.p99());
 
     auto names = root.names();
-    EXPECT_FALSE(names.empty());
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "lat.rx", "sdram.bursts", "sdram.occupancy",
+                         "twiceBursts"}));
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 

@@ -5,9 +5,10 @@
  * core park/wake, and the parallel sweep runner.
  *
  * These tests pin the central invariant of the performance work: none
- * of it may change any simulated result.  A full duplex run must
- * produce an identical flat stats report every time (and through the
- * threaded sweep runner), and enabling idle-core sleep must leave the
+ * of it may change any simulated result.  A traced duplex run must
+ * reproduce every NicResults field, the stat tree and the Chrome trace
+ * exactly every time (and through the threaded sweep runner), and
+ * enabling idle-core sleep must leave the
  * architectural core statistics bit-identical while executing far
  * fewer host events.  The icache/scratchpad access counters are
  * deliberately outside the sleep exactness contract (see DESIGN.md
@@ -16,92 +17,43 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <string>
-
 #include "bench/bench_util.hh"
-#include "nic/controller.hh"
+#include "equivalence.hh"
 
 using namespace tengig;
 
 namespace {
 
-struct RunOutput
-{
-    NicResults res;
-    std::map<std::string, double> stats;
-    std::uint64_t executedEvents = 0;
-};
-
-RunOutput
+equiv::RunSnapshot
 runDuplex()
 {
     NicConfig cfg;
     cfg.cores = 2;
     cfg.cpuMhz = 200.0;
-    NicController nic(cfg);
-    RunOutput o;
-    o.res = nic.run(tickPerMs / 4, tickPerMs / 2);
-    stats::Report r;
-    nic.report(r);
-    o.stats = r.all();
-    o.executedEvents = nic.eventQueue().executedEvents();
-    return o;
-}
-
-void
-expectResultsEq(const NicResults &a, const NicResults &b)
-{
-    EXPECT_EQ(a.measuredTicks, b.measuredTicks);
-    EXPECT_EQ(a.totalUdpGbps, b.totalUdpGbps);
-    EXPECT_EQ(a.txUdpGbps, b.txUdpGbps);
-    EXPECT_EQ(a.rxUdpGbps, b.rxUdpGbps);
-    EXPECT_EQ(a.txFrames, b.txFrames);
-    EXPECT_EQ(a.rxFrames, b.rxFrames);
-    EXPECT_EQ(a.rxDropped, b.rxDropped);
-    EXPECT_EQ(a.errors, b.errors);
-    EXPECT_EQ(a.aggregateIpc, b.aggregateIpc);
-}
-
-void
-expectCoreStatsEq(const CoreStats &a, const CoreStats &b)
-{
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.executeCycles, b.executeCycles);
-    EXPECT_EQ(a.imissCycles, b.imissCycles);
-    EXPECT_EQ(a.loadStallCycles, b.loadStallCycles);
-    EXPECT_EQ(a.conflictCycles, b.conflictCycles);
-    EXPECT_EQ(a.pipelineCycles, b.pipelineCycles);
-    EXPECT_EQ(a.idleCycles, b.idleCycles);
-    EXPECT_EQ(a.invocations, b.invocations);
-    EXPECT_EQ(a.idlePolls, b.idlePolls);
+    return equiv::runSnapshot(cfg, tickPerMs / 4, tickPerMs / 2);
 }
 
 } // namespace
 
 TEST(Determinism, DuplexRunRepeatsExactly)
 {
-    RunOutput first = runDuplex();
-    RunOutput second = runDuplex();
-    expectResultsEq(first.res, second.res);
+    equiv::RunSnapshot first = runDuplex();
+    equiv::RunSnapshot second = runDuplex();
+    equiv::expectIdenticalRuns(first, second);
     EXPECT_EQ(first.executedEvents, second.executedEvents);
-    // Every stat in the full flat report, component by component.
-    ASSERT_EQ(first.stats.size(), second.stats.size());
-    EXPECT_TRUE(first.stats == second.stats);
 }
 
 TEST(Determinism, SweepRunnerMatchesSerial)
 {
-    RunOutput serial = runDuplex();
+    equiv::RunSnapshot serial = runDuplex();
     // Two copies of the same point through the threaded runner: both
     // must reproduce the serial run exactly.
     auto swept = bench::runSweep(2, 2,
                                  [](std::size_t) { return runDuplex(); });
     ASSERT_EQ(swept.size(), 2u);
-    for (const RunOutput &o : swept) {
-        expectResultsEq(serial.res, o.res);
+    for (const equiv::RunSnapshot &o : swept) {
+        equiv::expectIdenticalRuns(serial, o);
         EXPECT_EQ(serial.executedEvents, o.executedEvents);
-        EXPECT_TRUE(serial.stats == o.stats);
     }
 }
 
@@ -150,7 +102,7 @@ TEST(IdleSleep, QuietReceiveIsExactAndCheaper)
     EXPECT_EQ(poll.errors, sleep.errors);
     EXPECT_EQ(poll.totalUdpGbps, sleep.totalUdpGbps);
     EXPECT_EQ(poll.measuredTicks, sleep.measuredTicks);
-    expectCoreStatsEq(poll.coreTotals, sleep.coreTotals);
+    equiv::expectIdenticalCoreStats(poll.coreTotals, sleep.coreTotals);
 
     // ...while skipping the vast majority of idle-poll host events.
     EXPECT_GT(sleep.rxFrames, 0u);
@@ -167,7 +119,7 @@ TEST(IdleSleep, BatchedTransmitIsExact)
     EXPECT_EQ(poll.errors, sleep.errors);
     EXPECT_EQ(poll.totalUdpGbps, sleep.totalUdpGbps);
     EXPECT_EQ(poll.measuredTicks, sleep.measuredTicks);
-    expectCoreStatsEq(poll.coreTotals, sleep.coreTotals);
+    equiv::expectIdenticalCoreStats(poll.coreTotals, sleep.coreTotals);
     EXPECT_GT(sleep.txFrames, 0u);
     // The post-drain tail is parked, so the sleeping run is cheaper.
     EXPECT_LT(ev_sleep, ev_poll);

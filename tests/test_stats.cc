@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -72,45 +70,6 @@ TEST(Histogram, MeanOfSamples)
     h.sample(2);
     h.sample(3);
     EXPECT_DOUBLE_EQ(h.mean(), 2.0);
-}
-
-TEST(Report, SetGetHasPrint)
-{
-    Report r;
-    r.set("nic.throughputGbps", 9.87);
-    r.set("nic.frames", 1000);
-    EXPECT_TRUE(r.has("nic.frames"));
-    EXPECT_FALSE(r.has("nope"));
-    EXPECT_DOUBLE_EQ(r.get("nic.throughputGbps"), 9.87);
-
-    std::ostringstream os;
-    r.print(os);
-    EXPECT_NE(os.str().find("nic.throughputGbps"), std::string::npos);
-
-    std::ostringstream filtered;
-    r.print(filtered, "nic.frames");
-    EXPECT_EQ(filtered.str().find("throughput"), std::string::npos);
-    EXPECT_NE(filtered.str().find("nic.frames"), std::string::npos);
-}
-
-// Regression: get() used to return a silent 0.0 for unknown names,
-// which let stat-name typos in benches masquerade as measured zeros.
-TEST(Report, GetUnknownNameIsFatal)
-{
-    Report r;
-    r.set("known", 1.0);
-    EXPECT_THROW(r.get("missing"), FatalError);
-    EXPECT_THROW(r.get("Known"), FatalError); // case matters
-}
-
-TEST(Report, GetOrProvidesExplicitDefault)
-{
-    Report r;
-    r.set("present", 2.5);
-    EXPECT_DOUBLE_EQ(r.getOr("present", -1.0), 2.5);
-    EXPECT_DOUBLE_EQ(r.getOr("absent", -1.0), -1.0);
-    EXPECT_DOUBLE_EQ(r.getOr("absent", 0.0), 0.0);
-    EXPECT_EQ(r.size(), 1u);
 }
 
 // Regression: reset() used to leave min/max at 0, so a post-reset

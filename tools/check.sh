@@ -4,8 +4,8 @@
 # Usage:
 #   tools/check.sh            # full suite
 #   tools/check.sh --quick    # only tests labeled "quick"
-#   tools/check.sh --bench    # sim-speed regression gate + cache
-#                             # equivalence smoke (contract below)
+#   tools/check.sh --bench    # sim-speed regression gate + repeat-
+#                             # run determinism smoke (contract below)
 #   tools/check.sh --faults   # build + run the fault-storm soak (the
 #                             # graceful-degradation contracts; nonzero
 #                             # exit on any violation)
@@ -53,9 +53,10 @@
 # informational column.  When the tree is not a git checkout the gate
 # degrades to informational-only output against the committed file.
 #
-# --bench also runs the op-cache equivalence smoke first: the default
-# duplex workload with the firmware op cache forced off vs on must
-# produce bit-identical results (tests/test_opcache_equiv).
+# --bench also runs the determinism smoke first: a repeated duplex run
+# (and the threaded sweep runner) must reproduce every result, the stat
+# tree and the Chrome trace bit for bit (tests/test_sim_speed,
+# Determinism.*).
 
 set -eu
 
@@ -77,12 +78,11 @@ if [ "${1:-}" = "--bench" ]; then
     cmake -B "$build" -S "$repo" -DTENGIG_SANITIZE="$sanitize" \
         -DTENGIG_TSAN="$tsan"
     cmake --build "$build" -j"$(nproc)" --target sim_speed \
-        --target test_opcache_equiv
+        --target test_sim_speed
 
-    # Equivalence smoke: cache off vs on must be bit-identical on the
-    # default duplex before any throughput number means anything.
-    "$build/tests/test_opcache_equiv" \
-        --gtest_filter='OpCacheEquivalence.DefaultDuplex'
+    # Determinism smoke: repeat runs must be bit-identical before any
+    # throughput number means anything.
+    "$build/tests/test_sim_speed" --gtest_filter='Determinism.*'
 
     # Wall-clock benches are noisy: take each row's best of three runs
     # on both sides before comparing.
