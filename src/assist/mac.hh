@@ -24,9 +24,9 @@
 #include <optional>
 
 #include "mem/sdram.hh"
-#include "net/endpoints.hh"
 #include "net/frame.hh"
 #include "sim/clock.hh"
+#include "sim/stats.hh"
 
 namespace tengig {
 
@@ -56,11 +56,6 @@ class MacTx : public Clocked
 
     MacTx(EventQueue &eq, const ClockDomain &domain, GddrSdram &sdram,
           Deliver deliver, unsigned sdram_requester,
-          unsigned fifo_depth = 32);
-
-    /** Convenience: deliver transmitted frames to a FrameSink. */
-    MacTx(EventQueue &eq, const ClockDomain &domain, GddrSdram &sdram,
-          FrameSink &sink, unsigned sdram_requester,
           unsigned fifo_depth = 32);
 
     /** @retval false if the command FIFO is full. */

@@ -12,12 +12,8 @@ DeviceDriver::DeviceDriver(HostMemory &host_, const Config &cfg)
              "tx payload must be in [18, 1472], got ", cfg.txPayloadBytes);
     fatal_if(cfg.tsoSegments == 0 || cfg.tsoSegments > 255,
              "tsoSegments must be in [1, 255]");
-    fatal_if(cfg.txFrameSpec && cfg.tsoSegments != 1,
-             "mixed-size tx schedules are incompatible with TSO");
     fatal_if(cfg.txFrameNext && cfg.tsoSegments != 1,
-             "pull-mode tx sources are incompatible with TSO");
-    fatal_if(cfg.txFrameNext && cfg.txFrameSpec,
-             "txFrameNext and txFrameSpec are mutually exclusive");
+             "mixed-size tx schedules are incompatible with TSO");
     fatal_if(cfg.sendRingFrames % cfg.tsoSegments != 0,
              "send ring must hold whole TSO groups");
 
@@ -47,8 +43,9 @@ DeviceDriver::DeviceDriver(HostMemory &host_, const Config &cfg)
 bool
 DeviceDriver::postOneSendFrame()
 {
-    // Pull-mode sources may decline (rate-limited / idle VF); asked
-    // before any state changes so a refusal leaves the ring untouched.
+    // Multi-flow sources may decline (paced / rate-limited / idle VF);
+    // asked before any state changes so a refusal leaves the ring
+    // untouched.
     std::optional<std::pair<std::uint32_t, unsigned>> next;
     if (config.txFrameNext) {
         next = config.txFrameNext(txPosted);
@@ -80,8 +77,8 @@ DeviceDriver::postOneSendFrame()
     // otherwise every frame is flow 0 at the configured fixed size.
     auto hdr_seed = static_cast<std::uint32_t>(seq);
     unsigned payload = config.txPayloadBytes;
-    if (config.txFrameSpec || next) {
-        auto [flow, bytes] = next ? *next : config.txFrameSpec(seq);
+    if (next) {
+        auto [flow, bytes] = *next;
         fatal_if(bytes < 18 || bytes > udpMaxPayloadBytes,
                  "tx schedule payload out of range: ", bytes);
         payload = bytes;
@@ -223,26 +220,8 @@ DeviceDriver::rxCompletion(Addr host_buf, std::uint32_t len)
         v.desc = &*desc;
     else
         v.bytes = host.bytesFor(host_buf, len);
-    if (rxObserver)
-        rxObserver(v);
-    if (rxDeliver) {
-        // External (per-flow) validation owns the frame check.
+    if (rxDeliver)
         rxDeliver(v);
-    } else {
-        std::uint32_t seq = 0, flow = 0;
-        if (!checkFrameView(v, seq, flow) || flow != 0) {
-            ++rxBad;
-        } else {
-            rxPayload += len - txHeaderBytes;
-            // Drops upstream (MAC overruns) legitimately create gaps;
-            // only a regression or duplicate is an ordering violation.
-            if (seq > rxExpectedSeq)
-                ++rxGaps;
-            else if (seq < rxExpectedSeq)
-                ++rxOutOfOrder;
-            rxExpectedSeq = seq + 1;
-        }
-    }
 
     // Replenish the pool in batches once enough buffers are returned.
     ++rxBuffersReturned;

@@ -7,8 +7,9 @@
  * sent frame -- a 42-byte header BD and a payload BD, matching the
  * paper's discontiguous-regions observation), rings mailbox doorbells,
  * preallocates and replenishes the receive buffer pool, and consumes
- * completions.  It also validates everything coming back: receive
- * completions must arrive in order, exactly once, with intact payloads.
+ * completions, handing every delivered frame to one delivery hook.
+ * Validation is not the driver's job: the hook's owner (the NIC
+ * controller) checks order and integrity with a FlowSink.
  *
  * Host CPU time and host-interconnect latency are untimed (paper §5);
  * the driver reacts instantly to NIC notifications.
@@ -67,21 +68,14 @@ class DeviceDriver
         unsigned tsoSegments = 1;
 
         /**
-         * Multi-flow workload schedule: (flow id, payload bytes) for
-         * posted frame number i.  When set, txPayloadBytes is ignored,
-         * every frame carries its flow's own sequence space, and TSO
-         * must be off (mixed sizes cannot share one sliced buffer).
-         */
-        std::function<std::pair<std::uint32_t, unsigned>(std::uint64_t)>
-            txFrameSpec;
-
-        /**
-         * Pull-mode workload source (src/vnic arbitration): asked for
-         * posted frame number i, returns (flow id, payload bytes) or
-         * nullopt when no frame is eligible right now.  On nullopt the
-         * driver stops posting without error; whoever owns the
-         * scheduler calls resumeSend() once a frame becomes eligible.
-         * Mutually exclusive with txFrameSpec and with TSO.
+         * Multi-flow workload source: asked for posted frame number i,
+         * returns (flow id, payload bytes) or nullopt when no frame is
+         * eligible right now (a paced or rate-limited source).  When
+         * set, txPayloadBytes is ignored, every frame carries its
+         * flow's own sequence space, and TSO must be off (mixed sizes
+         * cannot share one sliced buffer).  On nullopt the driver
+         * stops posting without error; whoever owns the scheduler
+         * calls resumeSend() once a frame becomes eligible.
          */
         std::function<std::optional<std::pair<std::uint32_t, unsigned>>(
             std::uint64_t)>
@@ -114,11 +108,11 @@ class DeviceDriver
     void startBackloggedSend();
 
     /** Post exactly @p n frames (tests / finite workloads).  With a
-     *  pull-mode txFrameNext source, posts *up to* @p n, stopping
-     *  early when the source reports nothing eligible. */
+     *  txFrameNext source, posts *up to* @p n, stopping early when
+     *  the source reports nothing eligible. */
     void postSendFrames(unsigned n);
 
-    /** Refill the send ring after a pull-mode source went dry (only
+    /** Refill the send ring after a txFrameNext source went dry (only
      *  meaningful in backlogged mode; otherwise a no-op). */
     void resumeSend();
 
@@ -145,10 +139,9 @@ class DeviceDriver
     /// @}
 
     /**
-     * Divert delivered receive frames (header + payload) to an
-     * external validator -- e.g. a per-flow FlowSink -- instead of the
-     * driver's built-in single-stream sequence check.  Clean frames
-     * arrive as descriptor-backed views (O(1) validation).
+     * Hook fired for every delivered receive frame (header + payload):
+     * the host stack's consumer, which validates and observes it.
+     * Clean frames arrive as descriptor-backed views (O(1) validation).
      */
     void
     onRxDeliver(std::function<void(const FrameView &)> fn)
@@ -156,36 +149,16 @@ class DeviceDriver
         rxDeliver = std::move(fn);
     }
 
-    /**
-     * Passive tap fired for every delivered receive frame, in addition
-     * to -- never instead of -- the validation path above.  Used by
-     * observability (latency bookkeeping).
-     */
-    void
-    onRxDelivered(std::function<void(const FrameView &)> fn)
-    {
-        rxObserver = std::move(fn);
-    }
-
-    /// @name Workload statistics and validation results
+    /// @name Workload statistics
     /// @{
     std::uint64_t txFramesPosted() const { return txPosted; }
     std::uint64_t txFramesConsumed() const { return txConsumed; }
     std::uint64_t rxFramesDelivered() const { return rxDelivered.value(); }
-    std::uint64_t rxPayloadBytes() const { return rxPayload.value(); }
-    std::uint64_t rxIntegrityErrors() const { return rxBad.value(); }
-
-    /** Duplicate/regressed completions -- always a violation. */
-    std::uint64_t rxOrderErrors() const { return rxOutOfOrder.value(); }
-
-    /** Forward sequence jumps: frames lost upstream (MAC overruns).
-     *  Informational, not an error -- receive drops are legitimate. */
-    std::uint64_t rxSeqGaps() const { return rxGaps.value(); }
 
     /** Zero-length completions: the NIC abandoned the frame's content
      *  DMA under fault injection; the buffer was recycled without
-     *  delivering the (stale) bytes.  Graceful degradation, not a
-     *  validation failure. */
+     *  delivering the (stale) bytes.  Graceful degradation: the
+     *  frame never reaches the delivery hook. */
     std::uint64_t rxFaultDropCount() const { return rxFaultDrops.value(); }
 
     std::uint64_t recvBdsPosted() const { return rxBdsPosted; }
@@ -232,16 +205,10 @@ class DeviceDriver
     Addr rxBufBase;
     std::uint64_t rxBdsPosted = 0;
     std::uint64_t rxBuffersReturned = 0;
-    std::uint32_t rxExpectedSeq = 0;
     std::function<void(std::uint64_t)> recvDoorbell;
     std::function<void(const FrameView &)> rxDeliver;
-    std::function<void(const FrameView &)> rxObserver;
 
     stats::Counter rxDelivered;
-    stats::Counter rxPayload;
-    stats::Counter rxBad;
-    stats::Counter rxOutOfOrder;
-    stats::Counter rxGaps;
     stats::Counter rxFaultDrops;
 };
 

@@ -51,38 +51,4 @@ FrameSource::generateNext()
                   EventPriority::HardwareProgress);
 }
 
-void
-FrameSink::deliver(const FrameView &v)
-{
-    ++frames;
-    if (v.len <= txHeaderBytes) {
-        ++badPayload;
-        return;
-    }
-    unsigned plen = v.len - txHeaderBytes;
-    payload += plen;
-    std::uint32_t seq = 0;
-    std::uint32_t flow = 0;
-    if (!checkFrameView(v, seq, flow) || flow != 0) {
-        ++badPayload;
-        return;
-    }
-    // The transmit path never drops, so any deviation from the exact
-    // posting order is a violation: a forward jump means frames went
-    // missing, a regression means a duplicate or reordered frame.
-    if (seq > expected) {
-        // Holes fully covered by announced fault-injected drops are
-        // graceful degradation; anything beyond them is a real gap.
-        std::uint64_t matched = 0;
-        for (std::uint32_t s = expected; s < seq; ++s)
-            matched += noted.erase(s);
-        injected += matched;
-        if (matched < seq - expected)
-            ++gaps;
-    } else if (seq < expected) {
-        ++duplicates;
-    }
-    expected = seq + 1;
-}
-
 } // namespace tengig

@@ -1,22 +1,18 @@
 /**
  * @file
- * Network-side endpoints: a paced frame generator (the link's receive
- * direction, from the NIC's point of view) and a validating sink (the
- * transmit direction).
+ * Network-side frame generators: the link's receive direction, from
+ * the NIC's point of view.
  *
  * The source paces arrivals with real Ethernet timing (preamble +
  * frame + IFG byte times at 10 Gb/s), so offering "line rate" means
- * exactly the paper's 812,744 frames/s for 1518-byte frames.  The sink
- * checks that every transmitted frame arrives exactly once, in order,
- * with an intact payload, after its full journey through host memory,
- * DMA, SDRAM and the MAC.
+ * exactly the paper's 812,744 frames/s for 1518-byte frames.  Frames
+ * in both directions are validated by FlowSink (src/traffic).
  */
 
 #ifndef TENGIG_NET_ENDPOINTS_HH
 #define TENGIG_NET_ENDPOINTS_HH
 
 #include <functional>
-#include <set>
 
 #include "net/frame.hh"
 #include "sim/event_queue.hh"
@@ -82,71 +78,6 @@ class FrameSource : public FrameGenerator
 
     stats::Counter offered;
     stats::Counter dropped;
-};
-
-/**
- * Terminates the NIC's transmit stream and validates it.
- */
-class FrameSink
-{
-  public:
-    FrameSink() = default;
-
-    /**
-     * Deliver one transmitted frame (header + payload, no CRC).
-     * Validates the payload integrity header and the sequence order;
-     * descriptor-backed views validate in O(1) (see checkFrameView).
-     */
-    void deliver(const FrameView &v);
-
-    /** Byte-buffer convenience overload. */
-    void
-    deliver(const std::uint8_t *bytes, unsigned len)
-    {
-        FrameView v;
-        v.bytes = bytes;
-        v.len = len;
-        deliver(v);
-    }
-
-    std::uint64_t framesReceived() const { return frames.value(); }
-    std::uint64_t payloadBytesReceived() const { return payload.value(); }
-    std::uint64_t integrityErrors() const { return badPayload.value(); }
-
-    /** Sequence jumped forward: at least one frame went missing. */
-    std::uint64_t gapErrors() const { return gaps.value(); }
-
-    /** Sequence regressed: a duplicate or reordered frame. */
-    std::uint64_t duplicateErrors() const { return duplicates.value(); }
-
-    /** All sequencing violations (gaps + duplicates). */
-    std::uint64_t
-    orderErrors() const
-    {
-        return gaps.value() + duplicates.value();
-    }
-
-    std::uint32_t nextExpectedSeq() const { return expected; }
-
-    /**
-     * Announce a deliberate (fault-injected) drop of @p seq before the
-     * next frame arrives: the resulting hole is then counted as an
-     * injected drop rather than a gap error.
-     */
-    void noteInjectedDrop(std::uint32_t seq) { noted.insert(seq); }
-
-    /** Sequence holes matched against noteInjectedDrop announcements. */
-    std::uint64_t injectedDrops() const { return injected.value(); }
-
-  private:
-    std::uint32_t expected = 0;
-    std::set<std::uint32_t> noted;
-    stats::Counter frames;
-    stats::Counter payload;
-    stats::Counter badPayload;
-    stats::Counter gaps;
-    stats::Counter duplicates;
-    stats::Counter injected;
 };
 
 } // namespace tengig

@@ -59,7 +59,7 @@ NicController::build()
              "sdram too small for the configured frame slots");
 
     // Fault injection and the virtualization layer come first: the
-    // driver's pull-mode tx source and the DMA assists capture them.
+    // driver's tx source and the DMA assists capture them.
     // vnic runs derive the injector from the per-VF plans (one tenant
     // per VF); legacy runs keep the single-plan injector.
     Cycles wdCycles = cfg.faults.watchdogCycles;
@@ -110,9 +110,9 @@ NicController::build()
             fatal_if(cfg.txPaceRate > 1.0, "txPaceRate must be a "
                      "fraction of line rate in (0, 1], got ",
                      cfg.txPaceRate);
-            // Pull-mode metered posting: a frame becomes eligible only
-            // when its wire time at the paced rate has elapsed since
-            // the previous one.  No credit accumulates while posting
+            // Metered posting: a frame becomes eligible only when its
+            // wire time at the paced rate has elapsed since the
+            // previous one.  No credit accumulates while posting
             // is stalled (e.g. a frozen firmware), so recovery after a
             // stall resumes at the paced rate instead of bursting.
             dc.txFrameNext = [this](std::uint64_t seq)
@@ -139,8 +139,10 @@ NicController::build()
                 return spec;
             };
         } else {
-            dc.txFrameSpec = [this](std::uint64_t i) {
-                return txSched->frameSpec(i);
+            // Unpaced: the schedule never declines a frame.
+            dc.txFrameNext = [this](std::uint64_t seq)
+                -> std::optional<std::pair<std::uint32_t, unsigned>> {
+                return txSched->frameSpec(seq);
             };
         }
     }
@@ -153,32 +155,8 @@ NicController::build()
         // Throttled posting resumes when a bucket refills or a lost
         // tenant doorbell is finally redelivered.
         vnic->setOnTxEligible([this] { driver->resumeSend(); });
-        driver->onRxDeliver([this](const FrameView &v) {
-            rxFlow.deliver(v);
-            vnic->noteRxDelivered(v);
-        });
-    } else if (rxFlowsOn()) {
-        // Per-flow validation replaces the driver's single-stream
-        // sequence check in the receive direction (also on externalWire
-        // runs: peer frames carry flow tags no single-stream check can
-        // order).
-        driver->onRxDeliver(
-            [this](const FrameView &v) { rxFlow.deliver(v); });
     }
-    // Latency tap: close out the per-frame arrival timestamps taken in
-    // rxArrived().  Observes delivery; validation is untouched.
-    driver->onRxDelivered([this](const FrameView &v) {
-        std::uint32_t seq = 0, flow = 0;
-        if (!peekFrameView(v, seq, flow))
-            return;
-        std::uint64_t key = (static_cast<std::uint64_t>(flow) << 32) |
-            seq;
-        auto it = rxInFlight.find(key);
-        if (it == rxInFlight.end())
-            return;
-        rxLatencyHist.sample(eq.curTick() - it->second);
-        rxInFlight.erase(it);
-    });
+    driver->onRxDeliver([this](const FrameView &v) { rxDelivered(v); });
 
     // Crossbar requester ids: cores 0..P-1, then the four assists.
     AssistIds ids{P + 0, P + 1, P + 2, P + 3};
@@ -212,10 +190,7 @@ NicController::build()
         // validator can expect exactly that hole.
         tasks->attachFaults(injector.get(), [this](std::uint64_t seq) {
             auto [flow, fseq] = driver->txFrameMeta(seq);
-            if (txFlowsOn())
-                txFlow.noteInjectedDrop(flow, fseq);
-            else
-                sink.noteInjectedDrop(fseq);
+            txFlow.noteInjectedDrop(flow, fseq);
         });
     }
     if (vnicOn()) {
@@ -409,19 +384,34 @@ NicController::checkLiveness()
 void
 NicController::txDelivered(const FrameView &v)
 {
-    // Wire-side validation first (the historical single consumer),
-    // then the external tap: the fleet switch sees exactly the frames
-    // the validator accepted responsibility for.
-    if (vnic) {
-        txFlow.deliver(v);
+    // Wire-side validation first, then the external tap: the fleet
+    // switch sees exactly the frames the validator accepted
+    // responsibility for.
+    txFlow.deliver(v);
+    if (vnic)
         vnic->noteTxDelivered(v);
-    } else if (txFlowsOn()) {
-        txFlow.deliver(v);
-    } else {
-        sink.deliver(v);
-    }
     if (wireTap)
         wireTap(v);
+}
+
+void
+NicController::rxDelivered(const FrameView &v)
+{
+    // Latency tap first: close out the arrival timestamp taken in
+    // rxArrived().  It only observes; validation follows.
+    std::uint32_t seq = 0, flow = 0;
+    if (peekFrameView(v, seq, flow)) {
+        std::uint64_t key = (static_cast<std::uint64_t>(flow) << 32) |
+            seq;
+        auto it = rxInFlight.find(key);
+        if (it != rxInFlight.end()) {
+            rxLatencyHist.sample(eq.curTick() - it->second);
+            rxInFlight.erase(it);
+        }
+    }
+    rxFlow.deliver(v);
+    if (vnic)
+        vnic->noteRxDelivered(v);
 }
 
 bool
@@ -547,7 +537,7 @@ NicController::registerAllStats()
 
     obs::StatGroup &link = statRoot.group("link");
     link.derived("txFrames", [this] {
-        return static_cast<double>(txFramesNow());
+        return static_cast<double>(txFlow.framesReceived());
     });
     link.derived("rxFramesDelivered", [this] {
         return static_cast<double>(driver->rxFramesDelivered());
@@ -557,40 +547,29 @@ NicController::registerAllStats()
                                    source->framesDropped());
     });
 
-    bool tx_flows = txFlowsOn();
-    bool rx_flows = rxFlowsOn();
+    // Receive gaps are legitimate overrun drops, so they count as
+    // gaps but never as order errors.
     obs::StatGroup &check = statRoot.group("check");
-    check.derived("orderErrors", [this, tx_flows, rx_flows] {
-        std::uint64_t n =
-            (tx_flows ? txFlow.gapErrors() + txFlow.duplicateErrors()
-                      : sink.orderErrors()) +
-            (rx_flows ? rxFlow.duplicateErrors()
-                      : driver->rxOrderErrors());
-        return static_cast<double>(n);
+    check.derived("orderErrors", [this] {
+        return static_cast<double>(txFlow.gapErrors() +
+                                   txFlow.duplicateErrors() +
+                                   rxFlow.duplicateErrors());
     });
-    check.derived("integrityErrors", [this, tx_flows, rx_flows] {
-        std::uint64_t n =
-            (tx_flows ? txFlow.integrityErrors()
-                      : sink.integrityErrors()) +
-            (rx_flows ? rxFlow.integrityErrors()
-                      : driver->rxIntegrityErrors());
-        return static_cast<double>(n);
+    check.derived("integrityErrors", [this] {
+        return static_cast<double>(txFlow.integrityErrors() +
+                                   rxFlow.integrityErrors());
     });
-    check.derived("orderGaps", [this, tx_flows, rx_flows] {
-        std::uint64_t n =
-            (tx_flows ? txFlow.gapErrors() : sink.gapErrors()) +
-            (rx_flows ? rxFlow.gapErrors() : driver->rxSeqGaps());
-        return static_cast<double>(n);
+    check.derived("orderGaps", [this] {
+        return static_cast<double>(txFlow.gapErrors() +
+                                   rxFlow.gapErrors());
     });
-    check.derived("orderDuplicates", [this, tx_flows, rx_flows] {
-        std::uint64_t n =
-            (tx_flows ? txFlow.duplicateErrors()
-                      : sink.duplicateErrors()) +
-            (rx_flows ? rxFlow.duplicateErrors()
-                      : driver->rxOrderErrors());
-        return static_cast<double>(n);
+    check.derived("orderDuplicates", [this] {
+        return static_cast<double>(txFlow.duplicateErrors() +
+                                   rxFlow.duplicateErrors());
     });
 
+    bool tx_flows = txFlowsOn();
+    bool rx_flows = rxFlowsOn();
     if (tx_flows || rx_flows) {
         obs::StatGroup &traffic = statRoot.group("traffic");
         if (tx_flows) {
@@ -641,9 +620,7 @@ NicController::registerAllStats()
             return static_cast<double>(driver->rxFaultDropCount());
         }, "zero-length completions the driver recycled");
         f.derived("txInjectedDropsSeen", [this] {
-            return static_cast<double>(
-                txFlowsOn() ? txFlow.injectedDrops()
-                            : sink.injectedDrops());
+            return static_cast<double>(txFlow.injectedDrops());
         }, "wire-side sequence holes matched to poison skips");
         f.derived("dmaFifoFullRejects", [this] {
             return static_cast<double>(dmaRead->fifoFullRejects() +
@@ -779,107 +756,6 @@ NicController::resetAllStats()
     rxLatencyHist.reset();
 }
 
-std::uint64_t
-NicController::txFramesNow() const
-{
-    return txFlowsOn() ? txFlow.framesReceived()
-                       : sink.framesReceived();
-}
-
-std::uint64_t
-NicController::txPayloadNow() const
-{
-    return txFlowsOn() ? txFlow.payloadBytesReceived()
-                       : sink.payloadBytesReceived();
-}
-
-std::uint64_t
-NicController::rxPayloadNow() const
-{
-    return rxFlowsOn() ? rxFlow.payloadBytesReceived()
-                       : driver->rxPayloadBytes();
-}
-
-NicResults
-NicController::collect(Tick measured, std::uint64_t tx0_frames,
-                       std::uint64_t tx0_payload,
-                       std::uint64_t rx0_frames,
-                       std::uint64_t rx0_payload)
-{
-    NicResults r;
-    r.measuredTicks = measured;
-    double secs = static_cast<double>(measured) / tickPerSec;
-
-    r.txFrames = txFramesNow() - tx0_frames;
-    std::uint64_t tx_payload = txPayloadNow() - tx0_payload;
-    r.rxFrames = driver->rxFramesDelivered() - rx0_frames;
-    std::uint64_t rx_payload = rxPayloadNow() - rx0_payload;
-
-    if (secs > 0) {
-        r.txUdpGbps = tx_payload * 8.0 / secs / 1e9;
-        r.rxUdpGbps = rx_payload * 8.0 / secs / 1e9;
-        r.txFps = r.txFrames / secs;
-        r.rxFps = r.rxFrames / secs;
-    }
-    r.totalUdpGbps = r.txUdpGbps + r.rxUdpGbps;
-    r.rxDropped = source->framesDropped() + macRx->framesDropped();
-
-    bool tx_flows = txFlowsOn();
-    bool rx_flows = rxFlowsOn();
-    std::uint64_t tx_integ = tx_flows ? txFlow.integrityErrors()
-                                      : sink.integrityErrors();
-    std::uint64_t tx_gaps = tx_flows ? txFlow.gapErrors()
-                                     : sink.gapErrors();
-    std::uint64_t tx_dups = tx_flows ? txFlow.duplicateErrors()
-                                     : sink.duplicateErrors();
-    std::uint64_t rx_integ = rx_flows ? rxFlow.integrityErrors()
-                                      : driver->rxIntegrityErrors();
-    std::uint64_t rx_gaps = rx_flows ? rxFlow.gapErrors()
-                                     : driver->rxSeqGaps();
-    std::uint64_t rx_dups = rx_flows ? rxFlow.duplicateErrors()
-                                     : driver->rxOrderErrors();
-    r.integrityErrors = tx_integ + rx_integ;
-    r.orderGaps = tx_gaps + rx_gaps;
-    r.orderDuplicates = tx_dups + rx_dups;
-    r.flowsValidated = (tx_flows ? txFlow.flowsSeen() : 0) +
-        (rx_flows ? rxFlow.flowsSeen() : 0);
-    // The transmit path must never lose a frame, so its gaps are
-    // errors; receive gaps only reflect legitimate overrun drops.
-    r.errors = tx_integ + tx_gaps + tx_dups + rx_integ + rx_dups;
-
-    for (auto &c : cores) {
-        const CoreStats &s = c->stats();
-        r.coreIpc.push_back(s.ipc());
-        r.coreTotals.instructions += s.instructions;
-        r.coreTotals.executeCycles += s.executeCycles;
-        r.coreTotals.imissCycles += s.imissCycles;
-        r.coreTotals.loadStallCycles += s.loadStallCycles;
-        r.coreTotals.conflictCycles += s.conflictCycles;
-        r.coreTotals.pipelineCycles += s.pipelineCycles;
-        r.coreTotals.idleCycles += s.idleCycles;
-        r.coreTotals.invocations += s.invocations;
-        r.coreTotals.idlePolls += s.idlePolls;
-    }
-    std::uint64_t total = r.coreTotals.totalCycles();
-    r.aggregateIpc = total
-        ? static_cast<double>(r.coreTotals.instructions) / total *
-          cores.size()
-        : 0.0;
-    r.profile = profile;
-
-    r.rxLatency.count = rxLatencyHist.count();
-    if (r.rxLatency.count) {
-        double us = static_cast<double>(tickPerUs);
-        r.rxLatency.meanUs = rxLatencyHist.mean() / us;
-        r.rxLatency.p50Us = rxLatencyHist.p50() / us;
-        r.rxLatency.p95Us = rxLatencyHist.p95() / us;
-        r.rxLatency.p99Us = rxLatencyHist.p99() / us;
-        r.rxLatency.maxUs =
-            static_cast<double>(rxLatencyHist.maxSample()) / us;
-    }
-    return r;
-}
-
 NicResults
 NicController::run(Tick warmup, Tick measure)
 {
@@ -914,10 +790,10 @@ NicController::beginMeasurement()
     // memory-system counters.
     resetAllStats();
     snap.startTick = eq.curTick();
-    snap.txFrames = txFramesNow();
-    snap.txPayload = txPayloadNow();
+    snap.txFrames = txFlow.framesReceived();
+    snap.txPayload = txFlow.payloadBytesReceived();
     snap.rxFrames = driver->rxFramesDelivered();
-    snap.rxPayload = rxPayloadNow();
+    snap.rxPayload = rxFlow.payloadBytesReceived();
     snap.spadAccesses = spad->totalAccesses();
     snap.ramBytes = ram->transferredBytes();
     snap.imemBytes = imem->bytesTransferred();
@@ -926,11 +802,22 @@ NicController::beginMeasurement()
 NicResults
 NicController::endMeasurement()
 {
-    Tick measured = eq.curTick() - snap.startTick;
-    NicResults r = collect(measured, snap.txFrames, snap.txPayload,
-                           snap.rxFrames, snap.rxPayload);
-    double secs = static_cast<double>(measured) / tickPerSec;
+    NicResults r;
+    r.measuredTicks = eq.curTick() - snap.startTick;
+    double secs = static_cast<double>(r.measuredTicks) / tickPerSec;
+
+    r.txFrames = txFlow.framesReceived() - snap.txFrames;
+    std::uint64_t tx_payload =
+        txFlow.payloadBytesReceived() - snap.txPayload;
+    r.rxFrames = driver->rxFramesDelivered() - snap.rxFrames;
+    std::uint64_t rx_payload =
+        rxFlow.payloadBytesReceived() - snap.rxPayload;
+
     if (secs > 0) {
+        r.txUdpGbps = tx_payload * 8.0 / secs / 1e9;
+        r.rxUdpGbps = rx_payload * 8.0 / secs / 1e9;
+        r.txFps = r.txFrames / secs;
+        r.rxFps = r.rxFrames / secs;
         r.spadGbps = (spad->totalAccesses() - snap.spadAccesses) *
             32.0 / secs / 1e9;
         r.sdramGbps = (ram->transferredBytes() - snap.ramBytes) * 8.0 /
@@ -938,6 +825,51 @@ NicController::endMeasurement()
         r.imemGbps = (imem->bytesTransferred() - snap.imemBytes) * 8.0 /
             secs / 1e9;
         r.imemUtilization = r.imemGbps / imem->peakBandwidthGbps();
+    }
+    r.totalUdpGbps = r.txUdpGbps + r.rxUdpGbps;
+    r.rxDropped = source->framesDropped() + macRx->framesDropped();
+
+    r.integrityErrors = txFlow.integrityErrors() + rxFlow.integrityErrors();
+    r.orderGaps = txFlow.gapErrors() + rxFlow.gapErrors();
+    r.orderDuplicates = txFlow.duplicateErrors() + rxFlow.duplicateErrors();
+    // A single-stream run is flow 0 of the same contracts, but reports
+    // no workload flows.
+    r.flowsValidated = (txFlowsOn() ? txFlow.flowsSeen() : 0) +
+        (rxFlowsOn() ? rxFlow.flowsSeen() : 0);
+    // The transmit path must never lose a frame, so its gaps are
+    // errors (lossless sink); receive gaps only reflect legitimate
+    // overrun drops (lossy sink).
+    r.errors = txFlow.errors() + rxFlow.errors();
+
+    for (auto &c : cores) {
+        const CoreStats &s = c->stats();
+        r.coreIpc.push_back(s.ipc());
+        r.coreTotals.instructions += s.instructions;
+        r.coreTotals.executeCycles += s.executeCycles;
+        r.coreTotals.imissCycles += s.imissCycles;
+        r.coreTotals.loadStallCycles += s.loadStallCycles;
+        r.coreTotals.conflictCycles += s.conflictCycles;
+        r.coreTotals.pipelineCycles += s.pipelineCycles;
+        r.coreTotals.idleCycles += s.idleCycles;
+        r.coreTotals.invocations += s.invocations;
+        r.coreTotals.idlePolls += s.idlePolls;
+    }
+    std::uint64_t total = r.coreTotals.totalCycles();
+    r.aggregateIpc = total
+        ? static_cast<double>(r.coreTotals.instructions) / total *
+          cores.size()
+        : 0.0;
+    r.profile = profile;
+
+    r.rxLatency.count = rxLatencyHist.count();
+    if (r.rxLatency.count) {
+        double us = static_cast<double>(tickPerUs);
+        r.rxLatency.meanUs = rxLatencyHist.mean() / us;
+        r.rxLatency.p50Us = rxLatencyHist.p50() / us;
+        r.rxLatency.p95Us = rxLatencyHist.p95() / us;
+        r.rxLatency.p99Us = rxLatencyHist.p99() / us;
+        r.rxLatency.maxUs =
+            static_cast<double>(rxLatencyHist.maxSample()) / us;
     }
     return r;
 }
@@ -975,35 +907,37 @@ NicController::runWindow(Tick warmup, std::function<void()> on_start,
 NicResults
 NicController::runTxOnly(unsigned frames, Tick limit)
 {
+    beginMeasurement();
     driver->postSendFrames(frames);
     startCores();
-    Tick step = 100 * tickPerUs;
-    while (eq.curTick() < limit &&
-           driver->txFramesConsumed() < frames) {
-        eq.runUntil(eq.curTick() + step);
-        checkLiveness();
-    }
-    NicResults r = collect(eq.curTick(), 0, 0, 0, 0);
-    stopCores();
-    return r;
+    return runFinite(limit, [this, frames] {
+        return driver->txFramesConsumed() >= frames;
+    });
 }
 
 NicResults
 NicController::runRxOnly(unsigned frames, Tick limit)
 {
+    beginMeasurement();
     driver->primeReceivePool();
     source->setFrameLimit(frames);
     source->start();
     startCores();
+    return runFinite(limit, [this, frames] {
+        return driver->rxFramesDelivered() >= frames;
+    });
+}
+
+NicResults
+NicController::runFinite(Tick limit, const std::function<bool()> &done)
+{
     Tick step = 100 * tickPerUs;
-    while (eq.curTick() < limit &&
-           driver->rxFramesDelivered() < frames) {
+    while (eq.curTick() < limit && !done()) {
         eq.runUntil(eq.curTick() + step);
         checkLiveness();
     }
-    NicResults r = collect(eq.curTick(), 0, 0, 0, 0);
-    source->stop();
-    stopCores();
+    NicResults r = endMeasurement();
+    stopRun();
     return r;
 }
 

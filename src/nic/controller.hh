@@ -100,11 +100,13 @@ class NicController
 
     /**
      * Transmit-only finite workload: post @p frames, run until all are
-     * consumed (or @p limit elapses).  Used by correctness tests.
+     * consumed (or @p limit elapses).  The measured window spans the
+     * whole run from tick 0.  Used by correctness tests.
      */
     NicResults runTxOnly(unsigned frames, Tick limit);
 
-    /** Receive-only finite workload. */
+    /** Receive-only finite workload: offer @p frames, run until all
+     *  are delivered (or @p limit elapses). */
     NicResults runRxOnly(unsigned frames, Tick limit);
 
     /**
@@ -115,7 +117,8 @@ class NicController
                          Tick measure, std::function<void()> on_end);
 
     /// @name Phase API for external drivers (src/fleet)
-    /// run()/runWindow() are built from these; a fleet runner drives
+    /// run()/runWindow() and the finite runs are built from these; a
+    /// fleet runner drives
     /// many instances' event queues itself in bounded-lag windows, so
     /// it needs the run lifecycle broken into explicit phases:
     /// startRun(), then eq.runUntil(...) as it pleases, then
@@ -207,8 +210,8 @@ class NicController
     /**
      * Replace the receive-direction generator with a recorded trace
      * (replayed from tick 0 of the run).  Call before run().  Pair it
-     * with an rxTraffic-enabled config so the per-flow validator
-     * handles the trace's flow-tagged frames.
+     * with an rxTraffic-enabled config so the trace's flows are
+     * reported (NicResults::flowsValidated, the "traffic" stat group).
      */
     void useRxTrace(std::istream &in);
 
@@ -216,17 +219,18 @@ class NicController
     /// @{
     EventQueue &eventQueue() { return eq; }
     DeviceDriver &deviceDriver() { return *driver; }
-    FrameSink &frameSink() { return sink; }
     FwState &firmwareState() { return *fwState; }
     Scratchpad &scratchpad() { return *spad; }
     GddrSdram &sdram() { return *ram; }
     HostMemory &hostMemory() { return *hostMem; }
     const NicConfig &config() const { return cfg; }
 
-    /** Per-flow wire-side transmit validator (txTraffic runs). */
+    /** Wire-side transmit validator (lossless contract).  A
+     *  single-stream run is its flow 0. */
     FlowSink &txFlowSink() { return txFlow; }
 
-    /** Per-flow host-side receive validator (rxTraffic runs). */
+    /** Host-side receive validator (lossy contract).  A single-stream
+     *  run is its flow 0. */
     FlowSink &rxFlowSink() { return rxFlow; }
 
     /** The rx generator: attach a TraceRecorder before run().
@@ -256,14 +260,15 @@ class NicController
     void registerAllStats();
     bool rxArrived(FrameData &&fd);
     void txDelivered(const FrameView &v);
+    void rxDelivered(const FrameView &v);
     void scheduleOccupancySample();
     void occupancySample();
     void wakeCores();
     void startCores();
     void stopCores();
-    NicResults collect(Tick measured, std::uint64_t tx0_frames,
-                       std::uint64_t tx0_payload, std::uint64_t rx0_frames,
-                       std::uint64_t rx0_payload);
+    /** Step the queue until @p done or @p limit, then close the
+     *  measurement window and stop the run. */
+    NicResults runFinite(Tick limit, const std::function<bool()> &done);
     void resetAllStats();
 
     /// @name Doorbell delivery with lost-notification recovery
@@ -284,15 +289,10 @@ class NicController
     void doorbellRetry(DoorbellChannel &ch, bool send);
     /// @}
 
-    /// @name Mode-independent delivery counters (legacy vs per-flow)
-    /// @{
-    std::uint64_t txFramesNow() const;
-    std::uint64_t txPayloadNow() const;
-    std::uint64_t rxPayloadNow() const;
-    /// @}
-
-    /// @name Validation-mode predicates
-    /// vnic runs use the per-flow sinks in both directions even though
+    /// @name Workload-mode predicates
+    /// Validation is the same in every mode; these decide only what is
+    /// reported (NicResults::flowsValidated, the "traffic" stat group).
+    /// vnic runs count as multi-flow in both directions even though
     /// the single-profile knobs stay empty.
     /// @{
     bool vnicOn() const { return !cfg.vfs.empty(); }
@@ -319,7 +319,6 @@ class NicController
     std::vector<std::unique_ptr<ICache>> icaches;
 
     std::unique_ptr<DeviceDriver> driver;
-    FrameSink sink;
     FlowSink txFlow{/*lossless=*/true};
     FlowSink rxFlow{/*lossless=*/false};
     std::unique_ptr<FrameGenerator> source;

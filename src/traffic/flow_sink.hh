@@ -1,14 +1,16 @@
 /**
  * @file
- * Per-flow validating sink.
+ * Per-flow validating sink: the one frame validator, in both
+ * directions.
  *
  * FlowSink terminates a stream of flow-tagged frames and checks, *per
- * flow*, what FrameSink checks for a single stream: every frame's
- * integrity header must verify, and each flow's embedded sequence
- * numbers must advance without regression.  The paper's total-order
- * transmit check remains valid within a flow because both the driver
- * and the NIC preserve posting order; across flows no order is
- * promised, so interleaving is never an error.
+ * flow*: every frame's integrity header must verify, and each flow's
+ * embedded sequence numbers must advance without regression.  The
+ * paper's total-order transmit check remains valid within a flow
+ * because both the driver and the NIC preserve posting order; across
+ * flows no order is promised, so interleaving is never an error.  A
+ * single-stream run is simply flow 0.  A frame that fails the
+ * integrity check counts as a frame but adds no payload bytes.
  *
  * Two contracts, selected at construction:
  *  - lossless (transmit wire side): the path never drops, so a

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the paced frame source and the validating sink.
+ * Unit tests for the paced frame source.  Frame validation is tested
+ * with FlowSink (test_traffic.cc).
  */
 
 #include <gtest/gtest.h>
@@ -85,73 +86,4 @@ TEST(FrameSource, PayloadsValidateAtTheSink)
                                      txHeaderBytes, seq));
         EXPECT_EQ(seq, i);
     }
-}
-
-TEST(FrameSink, AcceptsInOrderStream)
-{
-    FrameSink sink;
-    for (std::uint32_t s = 0; s < 5; ++s) {
-        std::vector<std::uint8_t> bytes(42 + 100);
-        fillPayload(bytes.data() + 42, 100, s);
-        sink.deliver(bytes.data(), static_cast<unsigned>(bytes.size()));
-    }
-    EXPECT_EQ(sink.framesReceived(), 5u);
-    EXPECT_EQ(sink.integrityErrors(), 0u);
-    EXPECT_EQ(sink.orderErrors(), 0u);
-    EXPECT_EQ(sink.payloadBytesReceived(), 500u);
-}
-
-TEST(FrameSink, FlagsOutOfOrder)
-{
-    FrameSink sink;
-    for (std::uint32_t s : {0u, 2u, 1u}) {
-        std::vector<std::uint8_t> bytes(42 + 100);
-        fillPayload(bytes.data() + 42, 100, s);
-        sink.deliver(bytes.data(), static_cast<unsigned>(bytes.size()));
-    }
-    EXPECT_GE(sink.orderErrors(), 1u);
-}
-
-TEST(FrameSink, SplitsGapsFromDuplicates)
-{
-    // 0, 3 (frames 1-2 missing: one gap event), then 1 (a regression).
-    FrameSink sink;
-    for (std::uint32_t s : {0u, 3u, 1u}) {
-        std::vector<std::uint8_t> bytes(42 + 100);
-        fillPayload(bytes.data() + 42, 100, s);
-        sink.deliver(bytes.data(), static_cast<unsigned>(bytes.size()));
-    }
-    EXPECT_EQ(sink.gapErrors(), 1u);
-    EXPECT_EQ(sink.duplicateErrors(), 1u);
-    EXPECT_EQ(sink.orderErrors(), 2u);
-}
-
-TEST(FrameSink, ExactDuplicateCountsOnlyAsDuplicate)
-{
-    FrameSink sink;
-    for (std::uint32_t s : {0u, 1u, 1u, 2u}) {
-        std::vector<std::uint8_t> bytes(42 + 100);
-        fillPayload(bytes.data() + 42, 100, s);
-        sink.deliver(bytes.data(), static_cast<unsigned>(bytes.size()));
-    }
-    EXPECT_EQ(sink.gapErrors(), 0u);
-    EXPECT_EQ(sink.duplicateErrors(), 1u);
-}
-
-TEST(FrameSink, FlagsCorruptPayload)
-{
-    FrameSink sink;
-    std::vector<std::uint8_t> bytes(42 + 100);
-    fillPayload(bytes.data() + 42, 100, 0);
-    bytes[90] ^= 1;
-    sink.deliver(bytes.data(), static_cast<unsigned>(bytes.size()));
-    EXPECT_EQ(sink.integrityErrors(), 1u);
-}
-
-TEST(FrameSink, FlagsTruncatedFrame)
-{
-    FrameSink sink;
-    std::vector<std::uint8_t> bytes(40);
-    sink.deliver(bytes.data(), 40);
-    EXPECT_EQ(sink.integrityErrors(), 1u);
 }

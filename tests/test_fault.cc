@@ -354,8 +354,8 @@ TEST(NicFaults, WireStormIsDroppedAtTheMacAndFullyAccounted)
     EXPECT_EQ(nic.deviceDriver().rxFramesDelivered() +
                   rx.malformedDrops() + rx.framesDropped(),
               400u);
-    EXPECT_EQ(nic.deviceDriver().rxIntegrityErrors(), 0u);
-    EXPECT_EQ(nic.deviceDriver().rxOrderErrors(), 0u);
+    EXPECT_EQ(nic.rxFlowSink().integrityErrors(), 0u);
+    EXPECT_EQ(nic.rxFlowSink().duplicateErrors(), 0u);
     EXPECT_EQ(r.errors, 0u);
 
     // The fault subtree is registered on fault-enabled runs.
@@ -373,7 +373,7 @@ TEST(NicFaults, PoisonedTxFramesSkipWithoutBreakingOrder)
     FaultInjector *inj = nic.faultInjector();
     ASSERT_NE(inj, nullptr);
     MacTx &tx = nic.macTxAssist();
-    FrameSink &sink = nic.frameSink();
+    FlowSink &sink = nic.txFlowSink();
 
     // Every posted frame retires (sent or skipped): the pipeline never
     // stalls on a poisoned slot, and ordering survives around the
@@ -381,7 +381,8 @@ TEST(NicFaults, PoisonedTxFramesSkipWithoutBreakingOrder)
     EXPECT_EQ(nic.deviceDriver().txFramesConsumed(), 400u);
     EXPECT_GT(tx.framesSkipped(), 0u);
     EXPECT_EQ(sink.framesReceived() + tx.framesSkipped(), 400u);
-    EXPECT_EQ(sink.orderErrors(), 0u);
+    EXPECT_EQ(sink.gapErrors(), 0u);
+    EXPECT_EQ(sink.duplicateErrors(), 0u);
     EXPECT_EQ(sink.integrityErrors(), 0u);
     EXPECT_EQ(sink.injectedDrops(), tx.framesSkipped());
     EXPECT_EQ(inj->poisonSkipsTaken(), tx.framesSkipped());
@@ -412,9 +413,10 @@ TEST(NicFaults, LostDoorbellIsRecoveredByTimeoutRetryWithBackoff)
     EXPECT_DOUBLE_EQ(nic.statTree().value("fault.doorbell.backoff_ticks"),
                      static_cast<double>(inj->doorbellBackoffTicks()));
     EXPECT_EQ(nic.deviceDriver().txFramesConsumed(), 200u);
-    EXPECT_EQ(nic.frameSink().framesReceived(), 200u);
-    EXPECT_EQ(nic.frameSink().orderErrors(), 0u);
-    EXPECT_EQ(nic.frameSink().integrityErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().framesReceived(), 200u);
+    EXPECT_EQ(nic.txFlowSink().gapErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().duplicateErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().integrityErrors(), 0u);
 }
 
 TEST(NicFaults, TransientMemoryFaultsDegradeWithoutCorruption)
@@ -446,6 +448,6 @@ TEST(NicFaults, WatchdogStaysQuietOnAHealthyRun)
     ASSERT_NE(wd, nullptr);
     EXPECT_GT(wd->checksRun(), 0u);
     EXPECT_EQ(wd->stallsDetected(), 0u);
-    EXPECT_EQ(nic.frameSink().framesReceived(), 200u);
+    EXPECT_EQ(nic.txFlowSink().framesReceived(), 200u);
     EXPECT_EQ(nic.statTree().value("fault.watchdog.stalls"), 0.0);
 }

@@ -181,9 +181,10 @@ TEST(EventRegisterFirmware, SerializesTypesButStaysCorrect)
     cfg.taskLevelFirmware = true;
     NicController nic(cfg);
     nic.runTxOnly(200, 50 * tickPerMs);
-    EXPECT_EQ(nic.frameSink().framesReceived(), 200u);
-    EXPECT_EQ(nic.frameSink().orderErrors(), 0u);
-    EXPECT_EQ(nic.frameSink().integrityErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().framesReceived(), 200u);
+    EXPECT_EQ(nic.txFlowSink().gapErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().duplicateErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().integrityErrors(), 0u);
 }
 
 TEST(EventRegisterFirmware, DuplexCorrectnessUnderLoad)
@@ -204,9 +205,10 @@ TEST(DeferredSegmentation, TsoDeliversEverySegmentInOrder)
     cfg.firmware.tsoSegments = 8;
     NicController nic(cfg);
     nic.runTxOnly(160, 50 * tickPerMs);
-    EXPECT_EQ(nic.frameSink().framesReceived(), 160u);
-    EXPECT_EQ(nic.frameSink().integrityErrors(), 0u);
-    EXPECT_EQ(nic.frameSink().orderErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().framesReceived(), 160u);
+    EXPECT_EQ(nic.txFlowSink().integrityErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().gapErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().duplicateErrors(), 0u);
     EXPECT_EQ(nic.deviceDriver().txFramesConsumed(), 160u);
 }
 

@@ -31,9 +31,10 @@ TEST(NicTxPath, DeliversAllFramesInOrderWithIntactPayloads)
     NicController nic(cfg);
     nic.runTxOnly(500, 20 * tickPerMs);
 
-    EXPECT_EQ(nic.frameSink().framesReceived(), 500u);
-    EXPECT_EQ(nic.frameSink().integrityErrors(), 0u);
-    EXPECT_EQ(nic.frameSink().orderErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().framesReceived(), 500u);
+    EXPECT_EQ(nic.txFlowSink().integrityErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().gapErrors(), 0u);
+    EXPECT_EQ(nic.txFlowSink().duplicateErrors(), 0u);
     EXPECT_EQ(nic.deviceDriver().txFramesConsumed(), 500u);
 }
 
@@ -44,8 +45,8 @@ TEST(NicRxPath, DeliversAllFramesInOrderWithIntactPayloads)
     nic.runRxOnly(500, 20 * tickPerMs);
 
     EXPECT_EQ(nic.deviceDriver().rxFramesDelivered(), 500u);
-    EXPECT_EQ(nic.deviceDriver().rxIntegrityErrors(), 0u);
-    EXPECT_EQ(nic.deviceDriver().rxOrderErrors(), 0u);
+    EXPECT_EQ(nic.rxFlowSink().integrityErrors(), 0u);
+    EXPECT_EQ(nic.rxFlowSink().duplicateErrors(), 0u);
 }
 
 TEST(NicDuplex, SixCores200MhzReachesNearLineRate)

@@ -5,9 +5,10 @@
  * Attaching a Chrome trace (NicController::attachTrace) records lanes,
  * spans and a 1 µs occupancy sampler, but it only observes: the traced
  * run must produce exactly the results and stat tree of the untraced
- * run.  The shapes are the default duplex, the 1472 B duplex, the
- * 8-flow IMIX, task-level firmware, the vf_isolation quick rows
- * (victim + storming aggressor VFs) and the fault_storm quick row.
+ * run.  The shapes are the default duplex, a single-stream fault
+ * storm, the 8-flow IMIX, task-level firmware, the vf_isolation quick
+ * rows (victim + storming aggressor VFs) and the fault_storm quick
+ * row.
  * Trace-timeline determinism itself is pinned by
  * Determinism.DuplexRunRepeatsExactly (test_sim_speed).
  */
@@ -69,6 +70,24 @@ vnicStormConfig()
     return cfg;
 }
 
+/**
+ * Fixed-size single streams under wire, poison and doorbell faults
+ * with a watchdog: poison skips leave flow-0 holes on the wire-side
+ * validator, and damaged arrivals leave receive gaps.
+ */
+NicConfig
+singleStreamFaultConfig()
+{
+    NicConfig cfg;
+    cfg.faults.wireCrcRate = 0.010;
+    cfg.faults.wireTruncateRate = 0.005;
+    cfg.faults.wireRuntRate = 0.005;
+    cfg.faults.txPoisonRate = 0.010;
+    cfg.faults.doorbellDropRate = 0.050;
+    cfg.faults.watchdogCycles = 50000;
+    return cfg;
+}
+
 /** The fault_storm quick row shape (storm raging the whole run). */
 NicConfig
 faultStormConfig()
@@ -93,12 +112,20 @@ TEST(TraceEquivalence, DefaultDuplex)
     expectTraceObservesOnly(NicConfig{});
 }
 
-TEST(TraceEquivalence, Duplex1472B)
+TEST(TraceEquivalence, SingleStreamFaults)
 {
-    NicConfig cfg;
-    cfg.txPayloadBytes = 1472;
-    cfg.rxPayloadBytes = 1472;
+    NicConfig cfg = singleStreamFaultConfig();
     expectTraceObservesOnly(cfg);
+
+    // The shape must actually exercise what it is here for: matched
+    // poison-skip holes on flow 0 of the lossless transmit validator.
+    NicController nic(cfg);
+    NicResults r = nic.run(tickPerMs / 4, tickPerMs / 2);
+    EXPECT_EQ(r.errors, 0u);
+    EXPECT_EQ(r.flowsValidated, 0u);
+    EXPECT_GT(nic.txFlowSink().injectedDrops(), 0u);
+    EXPECT_EQ(nic.txFlowSink().flowsSeen(), 1u);
+    EXPECT_GT(nic.rxFlowSink().gapErrors(), 0u);
 }
 
 TEST(TraceEquivalence, ImixEightFlows)

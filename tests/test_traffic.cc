@@ -81,6 +81,25 @@ deliverFrame(FlowSink &sink, std::uint32_t flow, std::uint32_t seq,
     sink.deliver(fd.view());
 }
 
+/** A single-stream frame as plain bytes (flow 0, 100 B payload): the
+ *  byte path a single-stream run's corrupted frames take. */
+std::vector<std::uint8_t>
+streamBytes(std::uint32_t seq)
+{
+    std::vector<std::uint8_t> bytes(txHeaderBytes + 100);
+    fillPayload(bytes.data() + txHeaderBytes, 100, seq);
+    return bytes;
+}
+
+void
+deliverStream(FlowSink &sink, std::initializer_list<std::uint32_t> seqs)
+{
+    for (std::uint32_t seq : seqs) {
+        std::vector<std::uint8_t> bytes = streamBytes(seq);
+        sink.deliver(bytes.data(), static_cast<unsigned>(bytes.size()));
+    }
+}
+
 } // namespace
 
 TEST(FlowFrame, RoundTripsFlowAndSequence)
@@ -326,6 +345,16 @@ TEST(FlowSinkTest, LossyContractToleratesGapsButNotDuplicates)
     deliverFrame(sink, 0, 5); // replayed duplicate
     EXPECT_EQ(sink.duplicateErrors(), 1u);
     EXPECT_EQ(sink.errors(), 1u);
+
+    // Receive-side single stream: frame 1 dropped upstream is a gap,
+    // not an error; the late 1 is a regression and is one.
+    FlowSink rx(/*lossless=*/false);
+    deliverStream(rx, {0, 2});
+    EXPECT_EQ(rx.gapErrors(), 1u);
+    EXPECT_EQ(rx.errors(), 0u);
+    deliverStream(rx, {1});
+    EXPECT_EQ(rx.duplicateErrors(), 1u);
+    EXPECT_EQ(rx.errors(), 1u);
 }
 
 TEST(FlowSinkTest, CatchesCorruptPayload)
@@ -340,6 +369,71 @@ TEST(FlowSinkTest, CatchesCorruptPayload)
     sink.deliver(fd.view());
     EXPECT_EQ(sink.integrityErrors(), 1u);
     EXPECT_EQ(sink.errors(), 1u);
+    // A corrupt frame counts as a frame but carries no payload bytes.
+    EXPECT_EQ(sink.framesReceived(), 1u);
+    EXPECT_EQ(sink.payloadBytesReceived(), 0u);
+}
+
+// The FrameSink cases feed single-stream byte frames -- flow 0, as a
+// single-stream run produces them -- to the lossless FlowSink that
+// validates every run.
+
+TEST(FrameSink, AcceptsInOrderStream)
+{
+    FlowSink sink(/*lossless=*/true);
+    deliverStream(sink, {0, 1, 2, 3, 4});
+    EXPECT_EQ(sink.framesReceived(), 5u);
+    EXPECT_EQ(sink.integrityErrors(), 0u);
+    EXPECT_EQ(sink.gapErrors(), 0u);
+    EXPECT_EQ(sink.duplicateErrors(), 0u);
+    EXPECT_EQ(sink.payloadBytesReceived(), 500u);
+    EXPECT_EQ(sink.flowsSeen(), 1u);
+}
+
+TEST(FrameSink, FlagsOutOfOrder)
+{
+    FlowSink sink(/*lossless=*/true);
+    deliverStream(sink, {0, 2, 1});
+    EXPECT_GE(sink.gapErrors() + sink.duplicateErrors(), 1u);
+}
+
+TEST(FrameSink, SplitsGapsFromDuplicates)
+{
+    // 0, 3 (frames 1-2 missing: one gap event), then 1 (a regression).
+    FlowSink sink(/*lossless=*/true);
+    deliverStream(sink, {0, 3, 1});
+    EXPECT_EQ(sink.gapErrors(), 1u);
+    EXPECT_EQ(sink.duplicateErrors(), 1u);
+    EXPECT_EQ(sink.errors(), 2u);
+}
+
+TEST(FrameSink, ExactDuplicateCountsOnlyAsDuplicate)
+{
+    FlowSink sink(/*lossless=*/true);
+    deliverStream(sink, {0, 1, 1, 2});
+    EXPECT_EQ(sink.gapErrors(), 0u);
+    EXPECT_EQ(sink.duplicateErrors(), 1u);
+}
+
+TEST(FrameSink, FlagsCorruptPayload)
+{
+    FlowSink sink(/*lossless=*/true);
+    std::vector<std::uint8_t> bytes = streamBytes(0);
+    bytes[90] ^= 1;
+    sink.deliver(bytes.data(), static_cast<unsigned>(bytes.size()));
+    EXPECT_EQ(sink.integrityErrors(), 1u);
+    EXPECT_EQ(sink.payloadBytesReceived(), 0u);
+}
+
+TEST(FrameSink, FlagsTruncatedFrame)
+{
+    // A frame no longer than its header is an integrity error, never a
+    // read past the end.
+    FlowSink sink(/*lossless=*/true);
+    std::vector<std::uint8_t> bytes(40);
+    sink.deliver(bytes.data(), 40);
+    EXPECT_EQ(sink.integrityErrors(), 1u);
+    EXPECT_EQ(sink.payloadBytesReceived(), 0u);
 }
 
 TEST(Trace, RecordReplayRoundTripIsBitIdentical)
