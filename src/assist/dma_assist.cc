@@ -44,20 +44,6 @@ DmaAssist::push(DmaCommand cmd)
     return true;
 }
 
-bool
-DmaAssist::pushPair(DmaCommand a, DmaCommand b)
-{
-    if (queue.size() + 2 > fifoDepth) {
-        ++fullRejects;
-        return false;
-    }
-    queue.push_back(std::move(a));
-    queue.push_back(std::move(b));
-    if (!busy)
-        startNext();
-    return true;
-}
-
 void
 DmaAssist::startNext()
 {
@@ -73,63 +59,10 @@ DmaAssist::startNext()
     headerBytes += cmd.len - pay;
     cmdStart = curTick();
 
-    if (tailIssued) {
-        // This command already went to the SDRAM as the tail of a
-        // fused pair; its burst completion will call finishCurrent().
-        tailIssued = false;
-        return;
-    }
-
     switch (cmd.kind) {
-      case DmaCommand::Kind::HostToSdram: {
-        if (faults) {
-            // Fault-enabled runs issue every frame burst through the
-            // retry-aware path, one burst at a time (no pair-fusing:
-            // a retry must be an independent, re-issuable burst).
-            curRetried = false;
-            issueFrameBurst();
-            return;
-        }
-        // Functional copy at completion keeps SDRAM contents exact;
-        // the overlay copy moves pattern spans without expanding them.
-        auto copy_done = [this] {
-            DmaCommand &c = queue.front();
-            sdram.store().copyFrom(host.store(), c.hostAddr,
-                                   c.localAddr, c.len);
-            finishCurrent();
-        };
-        // Fuse the TX header+payload shape -- a completion-less
-        // command followed by the SDRAM-contiguous rest of the same
-        // frame -- into one burst pair so an idle bus serves it with
-        // one fewer heap event (see GddrSdram::requestPair).
-        if (!cmd.done && queue.size() >= 2 &&
-            queue[1].kind == DmaCommand::Kind::HostToSdram &&
-            queue[1].localAddr == cmd.localAddr + cmd.len) {
-            tailIssued = true;
-            sdram.requestPair(sdramRequester, cmd.localAddr, cmd.len,
-                              copy_done, queue[1].localAddr,
-                              queue[1].len, copy_done, true);
-        } else {
-            sdram.request(sdramRequester, cmd.localAddr, cmd.len, true,
-                          copy_done);
-        }
-        return;
-      }
-
+      case DmaCommand::Kind::HostToSdram:
       case DmaCommand::Kind::SdramToHost:
-        if (faults) {
-            curRetried = false;
-            issueFrameBurst();
-            return;
-        }
-        sdram.request(sdramRequester, cmd.localAddr, cmd.len, false,
-                      [this] {
-                          DmaCommand &c = queue.front();
-                          host.store().copyFrom(sdram.store(),
-                                                c.localAddr, c.hostAddr,
-                                                c.len);
-                          finishCurrent();
-                      });
+        issueFrameBurst();
         return;
 
       case DmaCommand::Kind::HostToSpad:
@@ -154,7 +87,7 @@ void
 DmaAssist::frameBurstDone()
 {
     DmaCommand &c = queue.front();
-    if (faults->rollMemFault(c.vf)) {
+    if (faults && faults->rollMemFault(c.vf)) {
         if (!curRetried) {
             // Transient error: pay for one full re-issued burst.
             curRetried = true;
@@ -170,6 +103,8 @@ DmaAssist::frameBurstDone()
         finishCurrent(/*faulted=*/true);
         return;
     }
+    // Functional copy at completion keeps the destination exact; the
+    // overlay copy moves pattern spans without expanding them.
     if (c.kind == DmaCommand::Kind::HostToSdram)
         sdram.store().copyFrom(host.store(), c.hostAddr, c.localAddr,
                                c.len);

@@ -87,16 +87,6 @@ class DmaAssist : public Clocked
      */
     bool push(DmaCommand cmd);
 
-    /**
-     * Enqueue two commands atomically: both are in the FIFO before the
-     * engine can start the first.  This is how the firmware posts a
-     * frame's header + payload so an idle engine still sees the pair
-     * and can fuse it into one SDRAM burst-pair request.  Completion
-     * order and timing are identical to two back-to-back push() calls.
-     * @retval false (enqueuing nothing) unless both commands fit.
-     */
-    bool pushPair(DmaCommand a, DmaCommand b);
-
     bool full() const { return queue.size() >= fifoDepth; }
     std::size_t depth() const { return queue.size(); }
     unsigned capacity() const { return fifoDepth; }
@@ -122,8 +112,6 @@ class DmaAssist : public Clocked
      * onFault hook.  Control-metadata transfers (host<->scratchpad)
      * retry until clean instead -- dropping a descriptor would leave
      * stale control state, which is corruption, not degradation.
-     * Attaching also disables SDRAM pair-fusing so each retry is an
-     * independent burst.
      */
     void attachFaults(FaultInjector *f) { faults = f; }
 
@@ -151,9 +139,6 @@ class DmaAssist : public Clocked
 
     std::deque<DmaCommand> queue;
     bool busy = false;
-    /** The front command was pre-issued to the SDRAM as the tail of a
-     *  fused burst pair; startNext() must account it without issuing. */
-    bool tailIssued = false;
     /// @name Active scratchpad word-loop cursor
     /// Progress lives here rather than in per-word closures, so each
     /// word's crossbar callback captures only `this`.

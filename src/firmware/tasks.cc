@@ -447,8 +447,6 @@ FwTasks::trySendFrame(OpRecorder &rec)
             state.dmaReadReserved -= 2;
             // Payload lands right after the 42-byte header --
             // misaligned in SDRAM, exactly the paper's inefficiency.
-            // Posted atomically so even an idle engine sees the pair
-            // and can fuse it into one SDRAM burst-pair request.
             // If either transfer is abandoned under fault injection
             // the SDRAM slot holds stale bytes; poison the frame so
             // the commit step skips it instead of transmitting junk.
@@ -456,10 +454,13 @@ FwTasks::trySendFrame(OpRecorder &rec)
                 state.txPoison[seq % state.config.txSlots] = 1;
             };
             unsigned vf = txVfOf ? txVfOf(seq) : 0;
-            bool ok = dmaRead.pushPair(
+            bool ok = dmaRead.push(
                 DmaCommand{DmaCommand::Kind::HostToSdram,
                            info.hostHdrAddr, slot, info.hdrLen, 0,
-                           nullptr, poison, vf},
+                           nullptr, poison, vf});
+            panic_if(!ok, "[fw send] dma read FIFO overflow despite "
+                     "reservation @tick ", dmaRead.curTick());
+            ok = dmaRead.push(
                 DmaCommand{DmaCommand::Kind::HostToSdram,
                            info.hostPayAddr, slot + info.hdrLen,
                            info.payLen, info.payLen, [this, seq] {

@@ -162,29 +162,31 @@ TEST_F(DmaFixture, SpadTransferMovesOneWordPerCycle)
     EXPECT_LE(end - start, 64 * 5000u);
 }
 
-TEST_F(DmaFixture, PushPairIsAtomicAndFusesTheSdramBursts)
+TEST_F(DmaFixture, HeaderAndPayloadPushesMoveTheFrameAsADescriptor)
 {
     // The TX shape: a completion-less header command followed by the
-    // SDRAM-contiguous payload of the same frame.  Posted as a pair,
-    // an idle engine still sees both and issues one fused burst pair.
+    // SDRAM-contiguous payload of the same frame, posted by two pushes.
     FrameDesc d{1, 0, 0, 1472};
     host.store().putFrame(0x1000, d);
 
-    bool done = false;
+    Tick done = 0;
     eq.schedule(0, [&] {
-        ASSERT_TRUE(assist.pushPair(
+        ASSERT_TRUE(assist.push(
             DmaCommand{DmaCommand::Kind::HostToSdram, 0x1000, 0x8000,
-                       txHeaderBytes, 0, nullptr},
+                       txHeaderBytes, 0, nullptr}));
+        ASSERT_TRUE(assist.push(
             DmaCommand{DmaCommand::Kind::HostToSdram,
                        0x1000 + txHeaderBytes, 0x8000 + txHeaderBytes,
-                       1472, 1472, [&] { done = true; }}));
+                       1472, 1472, [&] { done = eq.curTick(); }}));
     });
     eq.run();
-    EXPECT_TRUE(done);
-    EXPECT_EQ(ram.chainedBursts(), 1u);
+    EXPECT_GT(done, 0u);
     EXPECT_EQ(assist.commandsCompleted(), 2u);
     EXPECT_EQ(assist.headerBytesMoved(), txHeaderBytes);
     EXPECT_EQ(assist.payloadBytesMoved(), 1472u);
+    // Two bursts, granted back to back from tick 0: the bus never idles.
+    EXPECT_EQ(ram.burstCount(), 2u);
+    EXPECT_EQ(ram.busyTickCount(), done);
 
     // The frame moved as a descriptor: still virtual on both sides.
     auto v = ram.viewFrame(0x8000, d.totalLen());
@@ -192,69 +194,4 @@ TEST_F(DmaFixture, PushPairIsAtomicAndFusesTheSdramBursts)
     EXPECT_EQ(*v, d);
     EXPECT_EQ(ram.store().materializations(), 0u);
     EXPECT_EQ(host.store().materializations(), 0u);
-}
-
-TEST_F(DmaFixture, PushPairRejectsWhenTheFifoCannotTakeBoth)
-{
-    // fifo depth is 4; three queued commands leave room for only one.
-    eq.schedule(0, [&] {
-        for (int i = 0; i < 3; ++i)
-            assist.push(DmaCommand{DmaCommand::Kind::HostToSdram, 0,
-                                   0x100, 64, 0, nullptr});
-        EXPECT_FALSE(assist.pushPair(
-            DmaCommand{DmaCommand::Kind::HostToSdram, 0, 0x200, 64, 0,
-                       nullptr},
-            DmaCommand{DmaCommand::Kind::HostToSdram, 0, 0x240, 64, 0,
-                       nullptr}));
-        EXPECT_EQ(assist.depth(), 3u); // neither half was enqueued
-    });
-    eq.run();
-    EXPECT_EQ(assist.commandsCompleted(), 3u);
-}
-
-TEST_F(DmaFixture, PushPairCompletionTimingMatchesTwoPushes)
-{
-    // Same commands, two engines: pair-posted vs singly-posted while
-    // idle (the engine starts the first command before the second
-    // push lands, so no fusion happens there).  The pair must complete
-    // at exactly the same tick -- batching is host-side only.
-    FrameDesc d{1, 0, 0, 1472};
-    host.store().putFrame(0x1000, d);
-
-    Tick pairDone = 0;
-    eq.schedule(0, [&] {
-        assist.pushPair(
-            DmaCommand{DmaCommand::Kind::HostToSdram, 0x1000, 0x8000,
-                       txHeaderBytes, 0, nullptr},
-            DmaCommand{DmaCommand::Kind::HostToSdram,
-                       0x1000 + txHeaderBytes, 0x8000 + txHeaderBytes,
-                       1472, 1472, [&](){ pairDone = eq.curTick(); }});
-    });
-    eq.run();
-
-    EventQueue eq2;
-    ClockDomain cpu2("cpu", 5000), bus2("membus", 2000);
-    Scratchpad spad2(eq2, cpu2, 8, 64 * 1024, 4);
-    GddrSdram ram2(eq2, bus2, GddrSdram::Config{});
-    HostMemory host2(1024 * 1024);
-    DmaAssist assist2(eq2, cpu2, spad2, ram2, host2, 6, 0, 4);
-    host2.store().putFrame(0x1000, d);
-    Tick singleDone = 0;
-    eq2.schedule(0, [&] {
-        assist2.push(DmaCommand{DmaCommand::Kind::HostToSdram, 0x1000,
-                                0x8000, txHeaderBytes, 0, nullptr});
-        assist2.push(DmaCommand{DmaCommand::Kind::HostToSdram,
-                                0x1000 + txHeaderBytes,
-                                0x8000 + txHeaderBytes, 1472, 1472,
-                                [&](){ singleDone = eq2.curTick(); }});
-    });
-    eq2.run();
-
-    EXPECT_GT(pairDone, 0u);
-    EXPECT_EQ(pairDone, singleDone);
-    EXPECT_EQ(ram.chainedBursts(), 1u);
-    EXPECT_EQ(ram2.chainedBursts(), 0u); // engine started the head alone
-    EXPECT_EQ(ram.burstCount(), ram2.burstCount());
-    EXPECT_EQ(ram.busyTickCount(), ram2.busyTickCount());
-    EXPECT_EQ(ram.transferredBytes(), ram2.transferredBytes());
 }

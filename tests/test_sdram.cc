@@ -177,144 +177,50 @@ TEST_F(SdramFixture, SustainedStreamsApproachPeak)
     EXPECT_LE(gbps, 64.0);
 }
 
-namespace {
+// The TX header + payload shape: the DMA assist issues the payload
+// burst from the header burst's completion callback.
 
-/** Every externally observable effect of a TX header+payload shape. */
-struct ChainObs
+TEST_F(SdramFixture, TailIssuedFromHeadCompletionIsGrantedBackToBack)
 {
-    Tick done1 = 0;
-    Tick done2 = 0;
-    Tick doneComp = 0; //!< competitor completion (0 if none)
-    std::uint64_t bursts = 0;
-    std::uint64_t useful = 0;
-    std::uint64_t transferred = 0;
-    std::uint64_t activations = 0;
-    std::uint64_t busyTicks = 0;
-
-    bool
-    operator==(const ChainObs &o) const
-    {
-        return done1 == o.done1 && done2 == o.done2 &&
-               doneComp == o.doneComp &&
-               bursts == o.bursts && useful == o.useful &&
-               transferred == o.transferred &&
-               activations == o.activations && busyTicks == o.busyTicks;
-    }
-};
-
-/**
- * Run a header (64 B) + payload (1472 B) burst pair from requester 0,
- * either batched (requestPair) or as the pre-batching schedule (tail
- * issued from the head's completion callback).  Optionally inject a
- * competing requester-1 burst at @p competitor_tick.
- */
-ChainObs
-runChainScenario(bool batched, Tick competitor_tick)
-{
-    EventQueue eq;
-    ClockDomain bus("membus", 2000);
-    GddrSdram ram(eq, bus, GddrSdram::Config{});
-    ChainObs obs;
-
-    auto cb1 = [&] { obs.done1 = eq.curTick(); };
-    auto cb2 = [&] { obs.done2 = eq.curTick(); };
+    Tick done1 = 0, done2 = 0;
     eq.schedule(0, [&] {
-        if (batched) {
-            ram.requestPair(0, 0, 64, cb1, 64, 1472, cb2, true);
-        } else {
-            ram.request(0, 0, 64, true, [&] {
-                cb1();
-                ram.request(0, 64, 1472, true, cb2);
-            });
-        }
-    });
-    if (competitor_tick) {
-        eq.schedule(competitor_tick, [&] {
-            ram.request(1, 4 * 1024 * 1024, 64, false,
-                        [&] { obs.doneComp = eq.curTick(); });
+        ram.request(0, 0, 64, true, [&] {
+            done1 = eq.curTick();
+            ram.request(0, 64, 1472, true, [&] { done2 = eq.curTick(); });
         });
-    }
-    eq.run();
-    obs.bursts = ram.burstCount();
-    obs.useful = ram.usefulBytes();
-    obs.transferred = ram.transferredBytes();
-    obs.activations = ram.rowActivations();
-    obs.busyTicks = ram.busyTickCount();
-    return obs;
-}
-
-} // namespace
-
-TEST(SdramChain, BatchedPairMatchesSequentialSchedule)
-{
-    ChainObs seq = runChainScenario(false, 0);
-    ChainObs bat = runChainScenario(true, 0);
-    EXPECT_TRUE(bat == seq);
-    EXPECT_GT(seq.done1, 0u);
-    // Tail starts exactly at the boundary: back-to-back bursts.
-    EXPECT_EQ(bat.done2, bat.done1 + (92 + 1) * 2000u);
-}
-
-TEST(SdramChain, BatchedPairUsesFewerHostEventsAndCounts)
-{
-    EventQueue eq;
-    ClockDomain bus("membus", 2000);
-    GddrSdram ram(eq, bus, GddrSdram::Config{});
-    eq.schedule(0, [&] {
-        ram.requestPair(0, 0, 64, nullptr, 64, 1472, nullptr, true);
     });
     eq.run();
-    EXPECT_EQ(ram.chainedBursts(), 1u);
-    EXPECT_EQ(ram.unbatchedChains(), 0u);
+    // Header: 4 beats + 1 + one row activation.
+    EXPECT_EQ(done1, (4 + 1 + 9) * 2000u);
+    // Tail starts exactly at the boundary in the still-open row.
+    EXPECT_EQ(done2, done1 + (92 + 1) * 2000u);
     EXPECT_EQ(ram.burstCount(), 2u);
+    EXPECT_EQ(ram.rowActivations(), 1u);
+    EXPECT_EQ(ram.busyTickCount(), done2);
 }
 
-TEST(SdramChain, CompetingArrivalUnbatchesAndReplaysArbitration)
+TEST_F(SdramFixture, CompetingArrivalMidHeadWinsTheBoundary)
 {
-    // The competitor lands while the head burst occupies the bus: the
-    // boundary arbitration is no longer a foregone conclusion, so the
-    // chain must roll back and requester 1 wins the boundary (round
-    // robin moved past requester 0 at the head grant).
-    Tick mid_head = 10000;
-    ChainObs seq = runChainScenario(false, mid_head);
-    ChainObs bat = runChainScenario(true, mid_head);
-    EXPECT_TRUE(bat == seq);
-    EXPECT_GT(seq.doneComp, seq.done1);
-    EXPECT_GT(seq.done2, seq.doneComp); // competitor granted first
-
-    EventQueue eq;
-    ClockDomain bus("membus", 2000);
-    GddrSdram ram(eq, bus, GddrSdram::Config{});
+    // A requester-1 burst lands while the header occupies the bus.
+    // Round robin moved past requester 0 at the header grant, so the
+    // competitor wins the boundary and the payload waits behind it.
+    Tick done1 = 0, done2 = 0, doneComp = 0;
     eq.schedule(0, [&] {
-        ram.requestPair(0, 0, 64, nullptr, 64, 1472, nullptr, true);
-    });
-    eq.schedule(mid_head, [&] {
-        ram.request(1, 4 * 1024 * 1024, 64, false, nullptr);
-    });
-    eq.run();
-    EXPECT_EQ(ram.chainedBursts(), 1u);
-    EXPECT_EQ(ram.unbatchedChains(), 1u);
-    EXPECT_EQ(ram.burstCount(), 3u);
-}
-
-TEST(SdramChain, SameRequesterFollowUpKeepsTheChain)
-{
-    // More work from the chain's own requester does not invalidate the
-    // pre-granted tail (FIFO order within one requester is preserved
-    // by round-robin arbitration regardless).
-    EventQueue eq;
-    ClockDomain bus("membus", 2000);
-    GddrSdram ram(eq, bus, GddrSdram::Config{});
-    Tick done3 = 0;
-    eq.schedule(0, [&] {
-        ram.requestPair(0, 0, 64, nullptr, 64, 1472, nullptr, true);
+        ram.request(0, 0, 64, true, [&] {
+            done1 = eq.curTick();
+            ram.request(0, 64, 1472, true, [&] { done2 = eq.curTick(); });
+        });
     });
     eq.schedule(10000, [&] {
-        ram.request(0, 8192, 64, true, [&] { done3 = eq.curTick(); });
+        ram.request(1, 4 * 1024 * 1024, 64, false,
+                    [&] { doneComp = eq.curTick(); });
     });
     eq.run();
-    EXPECT_EQ(ram.chainedBursts(), 1u);
-    EXPECT_EQ(ram.unbatchedChains(), 0u);
+    EXPECT_EQ(done1, (4 + 1 + 9) * 2000u);
+    // The competitor opens another row of bank 0 ...
+    EXPECT_EQ(doneComp, done1 + (4 + 1 + 9) * 2000u);
+    // ... so the payload pays a second activation of row 0.
+    EXPECT_EQ(done2, doneComp + (92 + 1 + 9) * 2000u);
     EXPECT_EQ(ram.burstCount(), 3u);
-    EXPECT_GT(done3, 0u);
+    EXPECT_EQ(ram.rowActivations(), 3u);
 }
