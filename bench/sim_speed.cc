@@ -38,7 +38,6 @@ struct SpeedPoint
     unsigned cores;
     double cpuMhz;
     bool taskLevel;
-    bool idleSleep;
 };
 
 struct SpeedResult
@@ -59,12 +58,11 @@ measure(const SpeedPoint &p, bool quick)
     cfg.cores = p.cores;
     cfg.cpuMhz = p.cpuMhz;
     cfg.taskLevelFirmware = p.taskLevel;
-    cfg.idleSleep = p.idleSleep;
 
     SpeedResult r;
     if (p.workload == "rx-light") {
         // Low receive load with long quiescent gaps between frames:
-        // the workload where idle-core sleep pays.
+        // host time goes almost entirely to idle polls.
         cfg.rxOfferedRate = 0.02;
         NicController nic(cfg);
         unsigned frames = quick ? 20 : 120;
@@ -117,12 +115,11 @@ main(int argc, char **argv)
     bool quick = obs::hasFlag(argc, argv, "--quick");
 
     std::vector<SpeedPoint> points = {
-        {"duplex 6c 200MHz (default)", "duplex", 6, 200, false, false},
-        {"imix 6c 200MHz 8 flows", "imix", 6, 200, false, false},
-        {"duplex 2c 200MHz", "duplex", 2, 200, false, false},
-        {"duplex 6c 200MHz task-level", "duplex", 6, 200, true, false},
-        {"rx-light 1c 200MHz", "rx-light", 1, 200, false, false},
-        {"rx-light 1c 200MHz +sleep", "rx-light", 1, 200, false, true},
+        {"duplex 6c 200MHz (default)", "duplex", 6, 200, false},
+        {"imix 6c 200MHz 8 flows", "imix", 6, 200, false},
+        {"duplex 2c 200MHz", "duplex", 2, 200, false},
+        {"duplex 6c 200MHz task-level", "duplex", 6, 200, true},
+        {"rx-light 1c 200MHz", "rx-light", 1, 200, false},
     };
 
     obs::BenchReport report("sim_speed");
@@ -143,7 +140,6 @@ main(int argc, char **argv)
         cfg.set("cores", p.cores);
         cfg.set("cpuMhz", p.cpuMhz);
         cfg.set("taskLevelFirmware", p.taskLevel);
-        cfg.set("idleSleep", p.idleSleep);
 
         obs::json::Value m = obs::json::Value::object();
         m.set("hostEventsPerSec", r.eventsPerSec);

@@ -175,9 +175,6 @@ class MacRx : public Clocked
     }
     /// @}
 
-    /** Frames currently being written to SDRAM (idle-sleep park gate). */
-    unsigned storingCount() const { return storing; }
-
     /** Register counters into the owner's stat tree (src/obs). */
     void registerStats(obs::StatGroup &g) const;
 

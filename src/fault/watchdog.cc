@@ -15,9 +15,9 @@ FirmwareWatchdog::FirmwareWatchdog(EventQueue &eq_, Tick period_ticks)
 }
 
 void
-FirmwareWatchdog::addCore(CoreProbe probe)
+FirmwareWatchdog::addCore(std::function<Tick()> last_retire)
 {
-    probes.push_back(std::move(probe));
+    lastRetire.push_back(std::move(last_retire));
     lastSeen.push_back(0);
     inStall.push_back(0);
 }
@@ -26,8 +26,8 @@ void
 FirmwareWatchdog::arm()
 {
     armed = true;
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        lastSeen[i] = probes[i].lastRetire();
+    for (std::size_t i = 0; i < lastRetire.size(); ++i) {
+        lastSeen[i] = lastRetire[i]();
         inStall[i] = 0;
     }
     if (!event.scheduled())
@@ -48,9 +48,9 @@ FirmwareWatchdog::check()
         return;
     ++checks;
     bool busy = !busyFn || busyFn();
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        Tick retired = probes[i].lastRetire();
-        if (retired != lastSeen[i] || probes[i].parked() || !busy) {
+    for (std::size_t i = 0; i < lastRetire.size(); ++i) {
+        Tick retired = lastRetire[i]();
+        if (retired != lastSeen[i] || !busy) {
             lastSeen[i] = retired;
             inStall[i] = 0;
             continue;

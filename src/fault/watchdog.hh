@@ -5,8 +5,8 @@
  * The firmware watchdog is the modeled hardware timer: every N cycles
  * it samples each core's last-retirement tick and, while the pipeline
  * has work outstanding, counts a stall (plus a one-per-episode
- * diagnostic dump) for any unparked core that has not retired an
- * invocation since the previous sample.
+ * diagnostic dump) for any core that has not retired an invocation
+ * since the previous sample.
  *
  * The liveness monitor is a simulator-level assertion, not modeled
  * hardware: if the event queue ever drains while frames are still in
@@ -36,16 +36,11 @@ namespace obs { class StatGroup; }
 class FirmwareWatchdog
 {
   public:
-    /** How to observe one firmware core without owning it. */
-    struct CoreProbe
-    {
-        std::function<Tick()> lastRetire; //!< tick of last real invocation
-        std::function<bool()> parked;     //!< true while idle-slept
-    };
-
     FirmwareWatchdog(EventQueue &eq, Tick period_ticks);
 
-    void addCore(CoreProbe probe);
+    /** Watch one core through @p last_retire, the tick of its last
+     *  real invocation. */
+    void addCore(std::function<Tick()> last_retire);
 
     /** Only count stalls while this returns true (pipeline busy). */
     void setBusy(std::function<bool()> fn) { busyFn = std::move(fn); }
@@ -70,7 +65,7 @@ class FirmwareWatchdog
     Tick period;
     bool armed = false;
     RecurringEvent event;
-    std::vector<CoreProbe> probes;
+    std::vector<std::function<Tick()>> lastRetire;
     std::vector<Tick> lastSeen;
     std::vector<std::uint8_t> inStall; //!< dump once per episode
     std::function<bool()> busyFn;

@@ -109,26 +109,4 @@ EventRegisterDispatcher::next(unsigned core_id, OpList &out)
     }
 }
 
-bool
-EventRegisterDispatcher::canPark(unsigned core_id) const
-{
-    if (owned[core_id] >= 0)
-        return false;
-    if (!tasks.quiescent())
-        return false;
-    for (const EventType &t : types)
-        if (!t.busy && (tasks.*(t.ready))())
-            return false;
-    return true;
-}
-
-void
-EventRegisterDispatcher::notifyVirtualPolls(unsigned core_id,
-                                            std::uint64_t n)
-{
-    (void)core_id;
-    rotate += static_cast<unsigned>(n);
-    idle += n;
-}
-
 } // namespace tengig

@@ -36,16 +36,6 @@ class EventRegisterDispatcher : public Dispatcher
 
     void next(unsigned core_id, OpList &out) override;
 
-    /**
-     * Parking is safe when this core owns no type, nothing is
-     * claimable (every type is either busy or not ready) and the
-     * pipeline is drained -- future polls provably find nothing until
-     * outside work arrives and wakes the core.
-     */
-    bool canPark(unsigned core_id) const override;
-
-    void notifyVirtualPolls(unsigned core_id, std::uint64_t n) override;
-
     std::uint64_t idlePolls() const { return idle.value(); }
     std::uint64_t dispatches() const { return found.value(); }
 

@@ -76,27 +76,4 @@ FrameLevelDispatcher::next(unsigned core_id, OpList &out)
     }
 }
 
-bool
-FrameLevelDispatcher::canPark(unsigned core_id) const
-{
-    (void)core_id;
-    if (!tasks.quiescent())
-        return false;
-    for (const Check &c : checks)
-        if ((tasks.*(c.ready))())
-            return false;
-    return true;
-}
-
-void
-FrameLevelDispatcher::notifyVirtualPolls(unsigned core_id,
-                                         std::uint64_t n)
-{
-    (void)core_id;
-    // Each skipped poll would have bumped the rotation and the idle
-    // counter; unsigned wraparound matches n repeated rotate++ calls.
-    rotate += static_cast<unsigned>(n);
-    idle += n;
-}
-
 } // namespace tengig

@@ -25,16 +25,6 @@ class FrameLevelDispatcher : public Dispatcher
 
     void next(unsigned core_id, OpList &out) override;
 
-    /**
-     * Parking is safe when no check is ready and the whole TX+RX
-     * pipeline is drained: until new outside work arrives (doorbell or
-     * frame reception, both of which wake parked cores), every future
-     * poll is provably empty-handed.
-     */
-    bool canPark(unsigned core_id) const override;
-
-    void notifyVirtualPolls(unsigned core_id, std::uint64_t n) override;
-
     std::uint64_t idlePolls() const { return idle.value(); }
     std::uint64_t dispatches() const { return found.value(); }
 

@@ -62,8 +62,6 @@ FwTasks::hwCounterWrite(unsigned ctr, std::uint64_t value,
     Addr a = state.counterAddr(ctr);
     state.spad.storage().storeWord(a, static_cast<std::uint32_t>(value));
     state.spad.access(requester, a, SpadOp::WriteTiming, 0, nullptr);
-    if (onWorkArrival)
-        onWorkArrival();
 }
 
 bool
@@ -1142,8 +1140,6 @@ FwTasks::sendDoorbell(std::uint64_t total_bds)
     state.spad.storage().storeWord(
         state.counterAddr(FwState::CtrHostPostedBds),
         static_cast<std::uint32_t>(total_bds));
-    if (onWorkArrival)
-        onWorkArrival();
 }
 
 void
@@ -1153,8 +1149,6 @@ FwTasks::recvDoorbell(std::uint64_t total_bds)
     state.spad.storage().storeWord(
         state.counterAddr(FwState::CtrHostRecvBds),
         static_cast<std::uint32_t>(total_bds));
-    if (onWorkArrival)
-        onWorkArrival();
 }
 
 std::optional<Addr>

@@ -99,18 +99,6 @@ class FwTasks
     }
 
     /**
-     * Hook fired whenever outside work arrives or progresses (host
-     * doorbells and hardware counter writes) -- everything that can
-     * flip a dispatch-check predicate.  The controller uses it to wake
-     * parked cores (DESIGN.md §10).
-     */
-    void
-    setOnWorkArrival(std::function<void()> fn)
-    {
-        onWorkArrival = std::move(fn);
-    }
-
-    /**
      * Wire up the vnic arbitration layer (multi-function runs only,
      * DESIGN.md §13).  tx_vf_of / rx_vf_of translate a firmware
      * sequence number into the owning virtual function, for
@@ -186,7 +174,6 @@ class FwTasks
     Addr txBufSdram;
     Addr rxBufSdram;
     AssistIds ids;
-    std::function<void()> onWorkArrival;
     FaultInjector *faults = nullptr; //!< null on fault-free runs
     std::function<void(std::uint64_t)> onPoisonSkip;
     /// @name vnic hooks (all null on single-function runs)

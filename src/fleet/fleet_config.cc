@@ -62,11 +62,6 @@ FleetConfig::validate() const
                      "end-of-run drain phase needs a quiescable "
                      "source");
     }
-    if (fabricFaults.nodeStallRate > 0.0)
-        for (std::size_t i = 0; i < nodes.size(); ++i)
-            fatal_if(nodes[i].idleSleep, "node-stall chaos cannot freeze "
-                     "idle-sleeping cores (node ", i,
-                     "): disable idleSleep on fleet chaos nodes");
 
     if (topology == FleetTopology::None)
         return;

@@ -69,9 +69,6 @@ NicController::build()
                  "cfg.txTraffic/cfg.rxTraffic");
         fatal_if(cfg.faults.enabled(),
                  "vnic runs use per-VF fault plans, not cfg.faults");
-        fatal_if(cfg.idleSleep,
-                 "vnic MAC-commit rate gating relies on polling cores; "
-                 "disable idleSleep");
         fatal_if(cfg.firmware.tsoSegments != 1,
                  "vnic runs are incompatible with TSO");
         std::vector<FaultPlan> plans;
@@ -276,26 +273,12 @@ NicController::build()
                                                profile));
     }
 
-    if (cfg.idleSleep) {
-        // Everything that can flip a dispatch predicate wakes parked
-        // cores; frame arrivals wake them in rxArrived() before any
-        // memory-system activity for the frame begins.  Parking is
-        // additionally vetoed while the receive MAC is mid-store.
-        tasks->setOnWorkArrival([this] { wakeCores(); });
-        for (auto &c : cores) {
-            c->enableIdleSleep(
-                [this] { return macRx->storingCount() == 0; });
-        }
-    }
-
     if (wdCycles != 0) {
         fwWatchdog = std::make_unique<FirmwareWatchdog>(
             eq, wdCycles * cpuClk->period());
         for (auto &c : cores) {
             Core *core = c.get();
-            fwWatchdog->addCore(FirmwareWatchdog::CoreProbe{
-                [core] { return core->lastRetireTick(); },
-                [core] { return core->isParked(); }});
+            fwWatchdog->addCore([core] { return core->lastRetireTick(); });
         }
         // Idle cores are not stalled: only a busy pipeline whose cores
         // stop retiring invocations trips the watchdog.
@@ -307,13 +290,6 @@ NicController::build()
                   EventPriority::Stats);
 
     registerAllStats();
-}
-
-void
-NicController::wakeCores()
-{
-    for (auto &c : cores)
-        c->wake();
 }
 
 void
@@ -460,11 +436,6 @@ NicController::rxArrived(FrameData &&fd)
     std::uint32_t seq = 0, flow = 0;
     bool tagged = peekFrameView(fd.view(), seq, flow);
     Tick now = eq.curTick();
-    if (cfg.idleSleep) {
-        // Wake before the MAC touches any memory for this frame, so
-        // the parked window stays provably contention-free.
-        wakeCores();
-    }
     bool accepted = macRx->frameArrived(std::move(fd));
     if (accepted && tagged) {
         rxInFlight[(static_cast<std::uint64_t>(flow) << 32) | seq] =

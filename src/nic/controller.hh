@@ -263,7 +263,6 @@ class NicController
     void rxDelivered(const FrameView &v);
     void scheduleOccupancySample();
     void occupancySample();
-    void wakeCores();
     void startCores();
     void stopCores();
     /** Step the queue until @p done or @p limit, then close the

@@ -40,18 +40,6 @@ struct NicConfig
     /// @}
 
     /**
-     * Host-simulator acceleration: cores whose polls have reached a
-     * provably steady idle pattern park instead of scheduling one event
-     * per poll, and are woken by doorbells/assist completions.  Purely
-     * a simulation-speed knob; see DESIGN.md §10 for the exactness
-     * contract (single-core quiescent stretches replay bit-identically,
-     * multi-core runs stay deterministic but may skip idle-phase
-     * crossbar contention).  Off by default so every figure reproduces
-     * the always-polling timing exactly.
-     */
-    bool idleSleep = false;
-
-    /**
      * Deterministic fault injection (src/fault).  Disabled by default
      * (all rates zero, watchdog off): every fault hook is then
      * structurally absent and runs are bit-identical to a build without

@@ -1,7 +1,5 @@
 #include "core.hh"
 
-#include <algorithm>
-
 #include "obs/stat_registry.hh"
 #include "obs/trace_log.hh"
 
@@ -45,7 +43,6 @@ Core::Core(EventQueue &eq, const ClockDomain &domain, unsigned id,
     opEvent.init(*this, [this] { beginOp(); }, EventPriority::Cpu);
     issueEvent.init(*this, [this] { issueMem(); }, EventPriority::Cpu);
     storeEvent.init(*this, [this] { tryIssueStore(); }, EventPriority::Cpu);
-    unparkEvent.init(eq, [this] { unpark(); }, EventPriority::Cpu);
 }
 
 void
@@ -56,34 +53,9 @@ Core::start()
         invEvent.scheduleCycles(0);
 }
 
-const CoreStats &
-Core::stats() const
-{
-    if (parked)
-        flushVirtual(curTick(), true);
-    return _stats;
-}
-
-void
-Core::resetStats()
-{
-    if (parked)
-        flushVirtual(curTick(), true);
-    _stats = CoreStats{};
-}
-
-void
-Core::enableIdleSleep(std::function<bool()> extra_gate)
-{
-    idleSleepEnabled = true;
-    extraParkGate = std::move(extra_gate);
-}
-
 void
 Core::registerStats(obs::StatGroup &g) const
 {
-    // Read through stats(), not _stats: a parked core must flush its
-    // virtual idle polls before the values are sampled.
     g.derived("instructions",
               [this] { return static_cast<double>(stats().instructions); });
     g.derived("ipc", [this] { return stats().ipc(); },
@@ -131,24 +103,16 @@ Core::nextInvocation()
                         curTick() - invStart, "firmware");
         }
     }
-    if (!running || parked)
-        return;
-    if (idleSleepEnabled && tryPark())
+    if (!running)
         return;
     dispatcher.next(coreId, current);
     opIdx = 0;
     actIdx = 0;
     if (current.idlePoll) {
         ++_stats.idlePolls;
-        if (idleSleepEnabled)
-            trackIdlePoll(curTick());
     } else {
         ++_stats.invocations;
         lastRetire = curTick();
-        if (idleSleepEnabled) {
-            stableCount = 0;
-            lastWasIdlePoll = false;
-        }
     }
     if (!current.idlePoll && !current.ops.empty() &&
         traceLane != obs::noTraceLane) {
@@ -340,240 +304,6 @@ Core::tryIssueStore()
     account(tag, 1, 1, 1);
     ++opIdx;
     opEvent.scheduleCycles(1);
-}
-
-// ---------------------------------------------------------------------
-// Idle-core sleep (DESIGN.md §10).
-// ---------------------------------------------------------------------
-
-void
-Core::trackIdlePoll(Tick now)
-{
-    bool dur_ok = lastWasIdlePoll && synthValid &&
-                  now - lastPollStart == idlePollTicks;
-    if (dur_ok && profileMatches()) {
-        ++stableCount;
-    } else {
-        synthValid = buildIdleSynthesis();
-        if (synthValid)
-            stableOps.ops = current.ops;
-        stableCount = 0;
-    }
-    lastWasIdlePoll = true;
-    lastPollStart = now;
-}
-
-bool
-Core::profileMatches() const
-{
-    const auto &a = current.ops;
-    const auto &b = stableOps.ops;
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        // Addresses are ignored: dispatcher rotation varies which poll
-        // flag each load reads, but with a quiescent crossbar (a park
-        // precondition) the bank choice cannot change timing.
-        if (a[i].kind != b[i].kind || a[i].tag != b[i].tag ||
-            a[i].count != b[i].count || a[i].hazard != b[i].hazard)
-            return false;
-    }
-    return true;
-}
-
-bool
-Core::buildIdleSynthesis()
-{
-    idleCharges.clear();
-    idleFetchBytes.clear();
-    Cycles t = 0;
-    Addr bytes = 0;
-    for (const MicroOp &op : current.ops) {
-        if (op.tag != FuncTag::Idle)
-            return false;
-        switch (op.kind) {
-          case OpKind::Alu: {
-            Cycles busy = static_cast<Cycles>(op.count) + op.hazard;
-            idleCharges.push_back(
-                {t, op.count, 0,
-                 static_cast<std::uint32_t>(busy)});
-            idleFetchBytes.push_back(op.count * 4u);
-            t += busy;
-            bytes += static_cast<Addr>(op.count) * 4;
-            break;
-          }
-          case OpKind::MemRead:
-            // Uncontended load: response (and its stat charge) lands
-            // two cycles after issue.
-            idleCharges.push_back({t + 2, 1, 1, 2});
-            idleFetchBytes.push_back(4);
-            t += 2;
-            bytes += 4;
-            break;
-          default:
-            // Stores, RMWs and actions have externally visible side
-            // effects; a poll containing them cannot be virtualized.
-            return false;
-        }
-    }
-    std::size_t ti = static_cast<std::size_t>(FuncTag::Idle);
-    Addr region = layout.size[ti];
-    unsigned line = icache.lineSize();
-    if (t == 0 || bytes == 0 || region == 0 || region % line != 0)
-        return false;
-    idlePollCycles = t;
-    idlePollTicks = clockDomain().cyclesToTicks(t);
-    idlePollBytes = bytes;
-    return true;
-}
-
-bool
-Core::idleRegionResident() const
-{
-    std::size_t ti = static_cast<std::size_t>(FuncTag::Idle);
-    Addr region = layout.size[ti];
-    Addr base = layout.base[ti];
-    Addr line = icache.lineSize();
-    for (Addr a = base & ~(line - 1); a < base + region; a += line)
-        if (!icache.probe(a))
-            return false;
-    return true;
-}
-
-bool
-Core::tryPark()
-{
-    if (!synthValid || !lastWasIdlePoll || stableCount < parkThreshold)
-        return false;
-    // The most recent poll's op stream already matched; its duration is
-    // only provable now that it has finished.
-    if (curTick() - lastPollStart != idlePollTicks)
-        return false;
-    if (!dispatcher.canPark(coreId))
-        return false;
-    if (extraParkGate && !extraParkGate())
-        return false;
-    if (!idleRegionResident())
-        return false;
-    parked = true;
-    parkStart = curTick();
-    flushedPolls = 0;
-    flushedRecs = 0;
-    flushedPollStart = parkStart;
-    return true;
-}
-
-void
-Core::wake()
-{
-    if (!parked || unparkPending)
-        return;
-    Tick now = curTick();
-    // First virtual poll boundary at or after now -- but never the park
-    // tick itself: the poll that started there already came up empty.
-    std::uint64_t n = (now - parkStart + idlePollTicks - 1) / idlePollTicks;
-    if (n == 0)
-        n = 1;
-    unparkPending = true;
-    unparkEvent.scheduleAt(parkStart + n * idlePollTicks);
-}
-
-void
-Core::flushVirtual(Tick now, bool include_boundary_start) const
-{
-    if (!parked)
-        return;
-    const std::size_t steps = idleCharges.size() + 1;
-    while (true) {
-        if (flushedRecs == 0) {
-            // Poll-start boundary: counts the poll and advances the
-            // dispatcher's rotation exactly as dispatcher.next() would.
-            Tick due = flushedPollStart;
-            if (due > now || (due == now && !include_boundary_start))
-                break;
-            ++_stats.idlePolls;
-            ++flushedPolls;
-            dispatcher.notifyVirtualPolls(coreId, 1);
-        } else {
-            const IdleCharge &c = idleCharges[flushedRecs - 1];
-            Tick due =
-                flushedPollStart + clockDomain().cyclesToTicks(c.at);
-            if (due > now)
-                break;
-            _stats.instructions += c.instr;
-            _stats.idleCycles += c.cycles;
-            auto &b = profile[FuncTag::Idle];
-            b.instructions += c.instr;
-            b.memAccesses += c.mem;
-            b.cycles += c.cycles;
-        }
-        if (++flushedRecs == steps) {
-            flushedRecs = 0;
-            flushedPollStart += idlePollTicks;
-        }
-    }
-}
-
-void
-Core::replayIdleFetches(std::uint64_t polls)
-{
-    if (polls == 0)
-        return;
-    std::size_t ti = static_cast<std::size_t>(FuncTag::Idle);
-    Addr region = layout.size[ti];
-    Addr base = layout.base[ti];
-    Addr line = icache.lineSize();
-    unsigned shift = icache.lineShift();
-    // The trailing window that touches every region line at least once
-    // reproduces the exact true-LRU recency order; earlier virtual
-    // polls only refresh lines this window touches again anyway.
-    std::uint64_t m = region / idlePollBytes + 2;
-    if (m > polls)
-        m = polls;
-    Addr off0 = pcOffset[ti];
-    for (std::uint64_t j = polls - m; j < polls; ++j) {
-        Addr off = (off0 + (j % region) * idlePollBytes) % region;
-        for (unsigned bytes : idleFetchBytes) {
-            Addr first_line = off >> shift;
-            Addr last_line = (off + (bytes ? bytes - 1 : 0)) >> shift;
-            Addr wrapped = first_line << shift;
-            for (Addr l = first_line; l <= last_line; ++l) {
-                Tick stall = icache.lookup(base + wrapped, curTick());
-                panic_if(stall != 0,
-                         "idle code line evicted while core parked");
-                wrapped += line;
-                while (wrapped >= region)
-                    wrapped -= region;
-            }
-            off += bytes;
-            if (off >= region)
-                off %= region;
-        }
-    }
-}
-
-void
-Core::unpark()
-{
-    unparkPending = false;
-    if (!parked)
-        return;
-    Tick now = curTick();
-    flushVirtual(now, false);
-    panic_if(flushedRecs != 0 || flushedPollStart != now,
-             "unpark off a virtual poll boundary");
-    std::uint64_t n = flushedPolls;
-    panic_if(parkStart + n * idlePollTicks != now,
-             "virtual poll miscount at unpark");
-    parked = false;
-    replayIdleFetches(n);
-    std::size_t ti = static_cast<std::size_t>(FuncTag::Idle);
-    Addr region = layout.size[ti];
-    pcOffset[ti] =
-        (pcOffset[ti] + (n % region) * idlePollBytes) % region;
-    stableCount = 0;
-    lastWasIdlePoll = false;
-    nextInvocation();
 }
 
 } // namespace tengig

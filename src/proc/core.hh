@@ -17,23 +17,12 @@
  * Lost cycles are attributed to the exact categories of the paper's
  * Table 3: execution, I-miss stalls, load stalls, scratchpad conflict
  * stalls, and pipeline stalls.
- *
- * Idle-core sleep (opt-in, see DESIGN.md §10): when a core's idle polls
- * become provably periodic -- identical op streams, identical duration,
- * resident idle code region, quiescent dispatcher/hardware -- the core
- * parks instead of replaying more of them.  The skipped polls are
- * synthesized on demand (stats reads) and at wake-up, charging exactly
- * the cycles/instructions the always-polling core would have recorded,
- * so CoreStats stay bit-identical while host time for idle simulation
- * drops to nothing.
  */
 
 #ifndef TENGIG_PROC_CORE_HH
 #define TENGIG_PROC_CORE_HH
 
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "mem/icache.hh"
 #include "mem/scratchpad.hh"
@@ -112,29 +101,9 @@ class Core : public Clocked
 
     unsigned id() const { return coreId; }
 
-    /**
-     * Cycle accounting.  When the core is parked, the virtual idle
-     * polls up to the current tick are flushed first, so readers always
-     * see exactly what an always-polling core would have accumulated.
-     */
-    const CoreStats &stats() const;
-    void resetStats();
-
-    /**
-     * Opt into idle-core sleep.  @p extra_gate (optional) must return
-     * true for parking to be allowed; the owner uses it to veto parking
-     * while hardware activity the dispatcher cannot see is in flight.
-     */
-    void enableIdleSleep(std::function<bool()> extra_gate = nullptr);
-
-    /**
-     * New work exists: schedule wake-up at the next virtual poll
-     * boundary, mirroring when an always-polling core would have seen
-     * it.  No-op unless parked.
-     */
-    void wake();
-
-    bool isParked() const { return parked; }
+    /** Cycle accounting. */
+    const CoreStats &stats() const { return _stats; }
+    void resetStats() { _stats = CoreStats{}; }
 
     /**
      * Tick at which the core last retired a real (non-idle-poll)
@@ -161,31 +130,6 @@ class Core : public Clocked
     void account(FuncTag tag, std::uint64_t instrs, std::uint64_t mem,
                  std::uint64_t cycles);
 
-    /// @name Idle-sleep machinery (DESIGN.md §10)
-    /// @{
-    void trackIdlePoll(Tick now);
-    bool buildIdleSynthesis();
-    bool profileMatches() const;
-    bool idleRegionResident() const;
-    bool tryPark();
-    void unpark();
-    /**
-     * Apply the stats of every virtual poll due at or before @p now.
-     * A poll *starting* exactly at @p now is included only when
-     * @p include_boundary_start (stats reads: yes; unpark: no, the real
-     * resumed poll happens instead).
-     */
-    void flushVirtual(Tick now, bool include_boundary_start) const;
-    /**
-     * Re-run the instruction fetches of the last min(@p polls, enough
-     * to cover the idle region) virtual polls so true-LRU recency in
-     * the private I-cache matches the always-polling core exactly.
-     * All fetches must hit: nothing else touches this cache while
-     * parked.
-     */
-    void replayIdleFetches(std::uint64_t polls);
-    /// @}
-
     unsigned coreId;
     Dispatcher &dispatcher;
     Scratchpad &spad;
@@ -209,41 +153,6 @@ class Core : public Clocked
     ClockedEvent opEvent;    //!< -> beginOp()
     ClockedEvent issueEvent; //!< -> issueMem() after an I-miss
     ClockedEvent storeEvent; //!< -> tryIssueStore()
-    RecurringEvent unparkEvent;
-
-    // Idle-sleep state.
-    bool idleSleepEnabled = false;
-    std::function<bool()> extraParkGate;
-    static constexpr unsigned parkThreshold = 3;
-    OpList stableOps;          //!< reference idle-poll op stream
-    unsigned stableCount = 0;  //!< consecutive polls matching it
-    Tick lastPollStart = 0;
-    bool lastWasIdlePoll = false;
-    bool synthValid = false;
-
-    /** One deferred stat charge of the synthesized idle poll. */
-    struct IdleCharge
-    {
-        Cycles at;     //!< cycles after poll start when it lands
-        std::uint32_t instr;
-        std::uint32_t mem;
-        std::uint32_t cycles;
-    };
-    std::vector<IdleCharge> idleCharges;
-    std::vector<unsigned> idleFetchBytes; //!< per-op fetch footprint
-    Cycles idlePollCycles = 0;
-    Tick idlePollTicks = 0;
-    Addr idlePollBytes = 0;
-
-    bool parked = false;
-    bool unparkPending = false;
-    Tick parkStart = 0;
-    // Flush cursors advance monotonically while parked; mutable (with
-    // _stats) because stats reads on a parked core must materialize the
-    // virtual polls.
-    mutable std::uint64_t flushedPolls = 0;
-    mutable std::size_t flushedRecs = 0;
-    mutable Tick flushedPollStart = 0;
 
     unsigned traceLane = 0xffffffffu; //!< obs::noTraceLane
     bool invTraced = false;           //!< an invocation span is open
@@ -251,7 +160,7 @@ class Core : public Clocked
     FuncTag invTag = FuncTag::Idle;
     Tick lastRetire = 0;              //!< see lastRetireTick()
 
-    mutable CoreStats _stats;
+    CoreStats _stats;
 };
 
 } // namespace tengig

@@ -32,30 +32,6 @@ class Dispatcher
      * buffer keeps the per-poll hot path allocation-free.
      */
     virtual void next(unsigned core_id, OpList &out) = 0;
-
-    /**
-     * May @p core_id stop polling right now?  True only when no work
-     * is claimable anywhere and the hardware pipeline is quiescent, so
-     * a parked core provably would have replayed identical idle polls
-     * until new work arrives (see DESIGN.md §10).
-     */
-    virtual bool canPark(unsigned core_id) const
-    {
-        (void)core_id;
-        return false;
-    }
-
-    /**
-     * Account @p n idle polls a parked core skipped, exactly as if
-     * next() had recorded them: rotation state and idle counters
-     * advance, so dispatch behavior after wake-up is bit-identical to
-     * the always-polling path.
-     */
-    virtual void notifyVirtualPolls(unsigned core_id, std::uint64_t n)
-    {
-        (void)core_id;
-        (void)n;
-    }
 };
 
 } // namespace tengig

@@ -81,6 +81,10 @@ readTrace(std::istream &in)
         r.flow = get32(buf + 8);
         r.seq = get32(buf + 12);
         r.payloadBytes = get32(buf + 16);
+        fatal_if(!recs.empty() && r.tick < recs.back().tick,
+                 "traffic trace record ", recs.size(), " has tick ",
+                 r.tick, ", before its predecessor's ",
+                 recs.back().tick);
         recs.push_back(r);
     }
     fatal_if(in.gcount() != 0 &&
@@ -120,7 +124,10 @@ TraceReplayer::scheduleNext()
         running = false;
         return;
     }
-    eq.schedule(base + recs[next].tick, [this] { fire(); },
+    Tick t = recs[next].tick;
+    fatal_if(t > maxTick - base, "traffic trace record ", next,
+             " tick ", t, " overflows when replayed from tick ", base);
+    eq.schedule(base + t, [this] { fire(); },
                 EventPriority::HardwareProgress);
 }
 

@@ -60,13 +60,18 @@ class TraceRecorder
     std::uint64_t count = 0;
 };
 
-/** Parse a whole trace. Fatal on a bad header or truncated record. */
+/**
+ * Parse a whole trace.  Fatal on a bad header, a truncated record or
+ * a record whose tick is below its predecessor's (equal ticks are
+ * legal).
+ */
 std::vector<TraceRecord> readTrace(std::istream &in);
 
 /**
  * Replays a recorded schedule as a FrameGenerator: every frame is
  * rebuilt from its (flow, seq, size) record and offered at its
- * recorded tick (plus the start offset).
+ * recorded tick (plus the start offset).  Fatal when a record's tick
+ * plus the start offset overflows Tick.
  */
 class TraceReplayer : public FrameGenerator
 {

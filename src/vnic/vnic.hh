@@ -20,7 +20,7 @@
  *    enforcement bucket.  A dry bucket stalls the commit (the
  *    pipeline is strictly in order -- that IS the contract), and the
  *    lazy time-based refill plus always-polling cores guarantee
- *    progress (vnic runs reject idleSleep).
+ *    progress.
  *
  * Both buckets meter UDP payload bytes, so VfConfig::txRateGbps is a
  * goodput ceiling.  Receive direction: VF profiles merge into one

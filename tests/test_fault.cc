@@ -251,10 +251,9 @@ TEST(Watchdog, CountsOneStallPerEpisode)
     EventQueue eq;
     FirmwareWatchdog wd(eq, 1000);
     Tick retire = 0;
-    bool parked = false;
     bool busy = true;
     unsigned dumps = 0;
-    wd.addCore({[&] { return retire; }, [&] { return parked; }});
+    wd.addCore([&] { return retire; });
     wd.setBusy([&] { return busy; });
     wd.setDump([&] {
         ++dumps;
@@ -275,18 +274,14 @@ TEST(Watchdog, CountsOneStallPerEpisode)
     wd.check(); // stuck again at the new retire tick
     EXPECT_EQ(wd.stallsDetected(), 2u);
 
-    parked = true; // a parked core is never a stall
-    wd.check();
-    EXPECT_EQ(wd.stallsDetected(), 2u);
-    parked = false;
-    busy = false; // nor is a core with nothing outstanding
+    busy = false; // a core with nothing outstanding is never a stall
     wd.check();
     EXPECT_EQ(wd.stallsDetected(), 2u);
 
-    EXPECT_EQ(wd.checksRun(), 6u);
+    EXPECT_EQ(wd.checksRun(), 5u);
     wd.disarm();
     wd.check(); // disarmed: a no-op
-    EXPECT_EQ(wd.checksRun(), 6u);
+    EXPECT_EQ(wd.checksRun(), 5u);
 }
 
 TEST(Watchdog, LivenessMonitorFatalsOnlyOnWedge)

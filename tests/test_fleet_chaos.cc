@@ -169,14 +169,6 @@ TEST(FleetChaosConfig, ExplicitTimeoutBelowRttBoundIsRejected)
     EXPECT_NO_THROW(fc.validate());
 }
 
-TEST(FleetChaosConfig, RejectsStallChaosOnIdleSleepingNodes)
-{
-    FleetConfig fc = chaosFleet();
-    addStorm(fc);
-    fc.nodes[0].idleSleep = true;
-    EXPECT_THROW(fc.validate(), FatalError);
-}
-
 TEST(FleetChaosConfig, UniformDerivesDecorrelatedFaultSeeds)
 {
     NicConfig tmpl = chaosNodeTemplate();

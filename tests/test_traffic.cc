@@ -482,6 +482,27 @@ TEST(Trace, ReaderRejectsBadMagic)
     EXPECT_THROW(readTrace(in), FatalError);
 }
 
+TEST(Trace, ReaderRejectsBackwardTicks)
+{
+    std::ostringstream os;
+    TraceRecorder rec(os);
+    rec.record(100, 0, 0, 64);
+    rec.record(50, 0, 1, 64);
+    std::istringstream in(os.str());
+    EXPECT_THROW(readTrace(in), FatalError);
+}
+
+TEST(Trace, ReplayRejectsTickOverflow)
+{
+    std::ostringstream os;
+    TraceRecorder rec(os);
+    rec.record(maxTick, 0, 0, 64);
+    EventQueue eq;
+    std::istringstream in(os.str());
+    TraceReplayer rep(eq, in, [](FrameData &&) { return true; });
+    EXPECT_THROW(rep.start(1), FatalError);
+}
+
 /**
  * The PR's acceptance run: a duplex NicController driven by a 64-flow
  * bimodal 90/1472 profile in both directions completes with zero

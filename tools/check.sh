@@ -46,7 +46,11 @@
 #               build/benchref/ (reused while HEAD is unchanged)
 #   candidate   the working tree, built into the normal build dir
 #
-# and fails when any row's candidate simulated time per host second
+# The six runs are interleaved -- reference, candidate, reference,
+# candidate, reference, candidate -- so host drift over the run (other
+# load, thermal or frequency changes) falls on both sides alike rather
+# than deciding the ratio, as it does when each side runs as one block.
+# The gate fails when any row's candidate simulated time per host second
 # (simMticksPerSec) falls below (1 - tolerance) x reference.  Host
 # events/sec is not gated: a change that adds or removes events moves
 # it without the simulator getting faster or slower, while simulated
@@ -88,15 +92,9 @@ if [ "${1:-}" = "--bench" ]; then
     # throughput number means anything.
     "$build/tests/test_sim_speed" --gtest_filter='Determinism.*'
 
-    # Wall-clock benches are noisy: take each row's best of three runs
-    # on both sides before comparing.
-    fresh="$build/BENCH_sim_speed.fresh.json"
-    "$build/bench/sim_speed" "--json=$fresh"
-    "$build/bench/sim_speed" "--json=$fresh.2"
-    "$build/bench/sim_speed" "--json=$fresh.3"
-
     tolerance=${TENGIG_BENCH_TOLERANCE:-0.10}
     baseline="$repo/BENCH_sim_speed.json"
+    fresh="$build/BENCH_sim_speed.fresh.json"
 
     # Fresh-built reference: the committed tree (HEAD), built and
     # measured on THIS machine so the comparison is load- and
@@ -116,13 +114,20 @@ if [ "${1:-}" = "--bench" ]; then
             printf '%s\n' "$head_commit" > "$refdir/.ref-commit"
         fi
         ref="$refdir/BENCH_sim_speed.ref.json"
-        "$refdir/build/bench/sim_speed" "--json=$ref"
-        "$refdir/build/bench/sim_speed" "--json=$ref.2"
-        "$refdir/build/bench/sim_speed" "--json=$ref.3"
     elif [ ! -f "$baseline" ]; then
+        "$build/bench/sim_speed" "--json=$fresh"
         echo "no git HEAD and no committed baseline; wrote $fresh"
         exit 0
     fi
+
+    # Wall-clock benches are noisy: take each row's best of three runs
+    # per side, alternating the sides run by run.
+    for suffix in "" .2 .3; do
+        if [ -n "$ref" ]; then
+            "$refdir/build/bench/sim_speed" "--json=$ref$suffix"
+        fi
+        "$build/bench/sim_speed" "--json=$fresh$suffix"
+    done
 
     TENGIG_BENCH_REF="$ref" python3 - "$tolerance" "$baseline" \
         "$fresh" "$fresh.2" "$fresh.3" <<'EOF'
