@@ -10,7 +10,10 @@
  * Storage is an OverlayMem: steady-state frame payloads live as
  * pattern descriptors (the driver posts spans, the DMA assists move
  * them without expansion) and only turn into real bytes when a
- * byte-level reader forces copy-on-access materialization.
+ * byte-level reader forces copy-on-access materialization.  The
+ * backing bytes are mapped demand-zero, so the 64 MB default capacity
+ * costs resident memory only for the pages the driver actually writes
+ * (rings, descriptors, status words).
  */
 
 #ifndef TENGIG_MEM_HOST_MEMORY_HH
@@ -18,7 +21,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "mem/overlay.hh"
 #include "sim/logging.hh"
@@ -30,7 +32,7 @@ class HostMemory
 {
   public:
     explicit HostMemory(std::size_t capacity = 64 * 1024 * 1024)
-        : mem(capacity)
+        : mem(capacity, "host memory")
     {}
 
     std::size_t capacity() const { return mem.size(); }

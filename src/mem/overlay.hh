@@ -1,8 +1,9 @@
 /**
  * @file
- * Region-overlay byte store: a flat backing array plus a sparse map of
- * pattern spans (FrameDesc windows) that stand in for bytes which are
- * a pure function of (hdrSeed, seq, flow, payLen).
+ * Region-overlay byte store: a flat demand-zero backing array
+ * (ZeroPages) plus a sparse map of pattern spans (FrameDesc windows)
+ * that stand in for bytes which are a pure function of (hdrSeed, seq,
+ * flow, payLen).
  *
  * The NIC data path writes whole frames whose contents the simulator
  * itself generated, so in steady state the store holds descriptors and
@@ -13,6 +14,10 @@
  * readBytes/writeBytes thus stay available as the fully general
  * slow-path escape hatch.  A `materializations` counter proves the
  * clean steady-state workloads move zero payload bytes.
+ *
+ * Because the payload stays virtual, most of the backing array is
+ * never touched; it is mapped demand-zero, so untouched capacity costs
+ * no construction time and no resident memory, and reads as 0.
  */
 
 #ifndef TENGIG_MEM_OVERLAY_HH
@@ -23,6 +28,7 @@
 #include <optional>
 #include <vector>
 
+#include "mem/zero_pages.hh"
 #include "net/frame.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -45,7 +51,11 @@ class OverlayMem
         std::uint32_t len = 0; //!< bytes covered
     };
 
-    explicit OverlayMem(std::size_t capacity) : mem(capacity, 0) {}
+    /** @p what names the store in a fatal mapping failure. */
+    explicit OverlayMem(std::size_t capacity,
+                        const char *what = "overlay")
+        : mem(capacity, what)
+    {}
 
     std::size_t size() const { return mem.size(); }
 
@@ -158,7 +168,7 @@ class OverlayMem
 
     // mutable: reads are logically const but expand spans into backing
     // bytes (copy-on-access) and count the event.
-    mutable std::vector<std::uint8_t> mem;
+    mutable ZeroPages mem;
     mutable SpanMap spans; //!< keyed by base address
     mutable std::vector<SpanMap::node_type> nodeCache;
     mutable std::uint64_t materialized = 0;

@@ -10,7 +10,7 @@ namespace tengig {
 
 GddrSdram::GddrSdram(EventQueue &eq, const ClockDomain &domain,
                      const Config &cfg)
-    : Clocked(eq, domain), config(cfg), mem(cfg.capacity),
+    : Clocked(eq, domain), config(cfg), mem(cfg.capacity, "sdram"),
       openRow(cfg.banks, -1)
 {
     fatal_if(cfg.banks == 0, "sdram needs at least one bank");

@@ -6,6 +6,10 @@
  * commit pointers, hardware progress pointers, locks) lives in real bytes
  * here so the atomic read-modify-write instructions operate on actual
  * memory, exactly as in the proposed hardware.
+ *
+ * The bytes are a demand-zero mapping (ZeroPages): they read as 0 until
+ * written, and only the pages the firmware layout touches become
+ * resident.
  */
 
 #ifndef TENGIG_MEM_SPAD_STORAGE_HH
@@ -14,8 +18,8 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
 
+#include "mem/zero_pages.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -28,7 +32,7 @@ class SpadStorage
 {
   public:
     explicit SpadStorage(std::size_t capacity)
-        : mem(capacity, 0)
+        : mem(capacity, "scratchpad")
     {}
 
     std::size_t capacity() const { return mem.size(); }
@@ -53,14 +57,14 @@ class SpadStorage
     loadByte(Addr addr) const
     {
         checkRange(addr, 1);
-        return mem[addr];
+        return mem.data()[addr];
     }
 
     void
     storeByte(Addr addr, std::uint8_t v)
     {
         checkRange(addr, 1);
-        mem[addr] = v;
+        mem.data()[addr] = v;
     }
 
     /**
@@ -90,7 +94,7 @@ class SpadStorage
                  " len=", len, " capacity=", mem.size());
     }
 
-    std::vector<std::uint8_t> mem;
+    ZeroPages mem;
     Addr brk = 0;
 };
 
