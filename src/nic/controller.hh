@@ -363,7 +363,10 @@ class NicController
 
     /// @name Receive-latency bookkeeping (wire arrival -> delivery)
     /// @{
-    stats::Histogram rxLatencyHist{250 * tickPerNs, 400}; //!< 100 µs span
+    /// 250 ns buckets over 2 ms: overloaded small-frame runs queue
+    /// frames for 100-300 µs, and a sample past the span would make
+    /// every percentile at its rank read the maximum.
+    stats::Histogram rxLatencyHist{250 * tickPerNs, 8000};
     std::unordered_map<std::uint64_t, Tick> rxInFlight;
     /// @}
 

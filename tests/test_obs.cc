@@ -450,3 +450,22 @@ TEST(NicTrace, DuplexSaturationRunProducesComponentSpans)
     EXPECT_LE(r.rxLatency.p95Us, r.rxLatency.p99Us);
     EXPECT_LE(r.rxLatency.p99Us, r.rxLatency.maxUs + 1e-9);
 }
+
+TEST(NicLatency, OverloadedSmallFrameDuplexResolvesPercentiles)
+{
+    // 64 B frames in both directions at line rate overload the
+    // firmware: the receive MAC sheds load and delivered frames queue
+    // for 100-300 µs.  The latency histogram must span that range,
+    // or every percentile whose rank lands past it reads the maximum.
+    NicConfig cfg;
+    cfg.txPayloadBytes = 18; // 64 B frames
+    cfg.rxPayloadBytes = 18;
+    NicController nic(cfg);
+    NicResults r = nic.run(tickPerMs / 4, tickPerMs / 2);
+
+    ASSERT_GT(r.rxLatency.count, 0u);
+    EXPECT_GT(r.rxDropped, 0u) << "shape no longer overloads the NIC";
+    EXPECT_GT(r.rxLatency.maxUs, 100.0);
+    EXPECT_LT(r.rxLatency.p50Us, r.rxLatency.p99Us);
+    EXPECT_LT(r.rxLatency.p99Us, r.rxLatency.maxUs);
+}
