@@ -6,7 +6,8 @@
  * discrete-event kernel, so its host-side throughput bounds how large
  * a parameter sweep is affordable.  This bench times representative
  * NIC configurations and reports host events/sec and simulated
- * Mticks/sec (1 Mtick = 1 µs of simulated time) per config, writing a
+ * Mticks/sec (1 Mtick = 1 µs of simulated time) per config, plus the
+ * setup cost of building and starting the NIC, writing a
  * tengig-bench-v1 document (default BENCH_sim_speed.json) that seeds
  * the simulator-performance trajectory.
  *
@@ -42,7 +43,8 @@ struct SpeedPoint
 
 struct SpeedResult
 {
-    double wallMs = 0.0;
+    double setupMs = 0.0;   //!< NicController construction + start
+    double wallMs = 0.0;    //!< the run after setup
     std::uint64_t executedEvents = 0;
     Tick simTicks = 0;
     double eventsPerSec = 0.0;
@@ -59,43 +61,60 @@ measure(const SpeedPoint &p, bool quick)
     cfg.cpuMhz = p.cpuMhz;
     cfg.taskLevelFirmware = p.taskLevel;
 
-    SpeedResult r;
-    if (p.workload == "rx-light") {
+    const bool rx_light = p.workload == "rx-light";
+    if (rx_light) {
         // Low receive load with long quiescent gaps between frames:
         // host time goes almost entirely to idle polls.
         cfg.rxOfferedRate = 0.02;
-        NicController nic(cfg);
+    } else if (p.workload == "imix") {
+        // Mixed-size multi-flow duplex: the payload-heavy stress on
+        // the zero-copy data path with per-flow validation on top.
+        cfg.txTraffic = TrafficProfile::imixPoisson(8, 1.0, 0x51);
+        cfg.rxTraffic = TrafficProfile::imixPoisson(8, 1.0, 0x52);
+    }
+
+    using Clock = std::chrono::steady_clock;
+    auto ms = [](Clock::time_point a, Clock::time_point b) {
+        return std::chrono::duration<double, std::milli>(b - a).count();
+    };
+
+    SpeedResult r;
+    NicResults res;
+    auto t0 = Clock::now();
+    NicController nic(cfg);
+    if (rx_light) {
+        // The finite receive run starts its own sources, so setup is
+        // construction alone.
+        auto t1 = Clock::now();
         unsigned frames = quick ? 20 : 120;
         Tick limit = (quick ? 4 : 16) * tickPerMs;
-        auto t0 = std::chrono::steady_clock::now();
-        NicResults res = nic.runRxOnly(frames, limit);
-        auto t1 = std::chrono::steady_clock::now();
-        r.wallMs = std::chrono::duration<double, std::milli>(t1 - t0)
-                       .count();
-        r.executedEvents = nic.eventQueue().executedEvents();
-        r.simTicks = nic.eventQueue().curTick();
-        r.totalUdpGbps = res.totalUdpGbps;
+        res = nic.runRxOnly(frames, limit);
+        auto t2 = Clock::now();
+        r.setupMs = ms(t0, t1);
+        r.wallMs = ms(t1, t2);
         r.frames = res.rxFrames;
     } else {
-        if (p.workload == "imix") {
-            // Mixed-size multi-flow duplex: the payload-heavy stress on
-            // the zero-copy data path with per-flow validation on top.
-            cfg.txTraffic = TrafficProfile::imixPoisson(8, 1.0, 0x51);
-            cfg.rxTraffic = TrafficProfile::imixPoisson(8, 1.0, 0x52);
-        }
-        NicController nic(cfg);
+        // run(warmup, window) through the phase API, so that the
+        // start phase is timed as setup.
+        nic.startRun();
+        auto t1 = Clock::now();
         Tick warmup = quick ? tickPerMs / 4 : tickPerMs / 2;
         Tick window = quick ? tickPerMs / 2 : 2 * tickPerMs;
-        auto t0 = std::chrono::steady_clock::now();
-        NicResults res = nic.run(warmup, window);
-        auto t1 = std::chrono::steady_clock::now();
-        r.wallMs = std::chrono::duration<double, std::milli>(t1 - t0)
-                       .count();
-        r.executedEvents = nic.eventQueue().executedEvents();
-        r.simTicks = nic.eventQueue().curTick();
-        r.totalUdpGbps = res.totalUdpGbps;
+        nic.eventQueue().runUntil(warmup);
+        nic.checkLiveness();
+        nic.beginMeasurement();
+        nic.eventQueue().runUntil(warmup + window);
+        nic.checkLiveness();
+        res = nic.endMeasurement();
+        nic.stopRun();
+        auto t2 = Clock::now();
+        r.setupMs = ms(t0, t1);
+        r.wallMs = ms(t1, t2);
         r.frames = res.txFrames + res.rxFrames;
     }
+    r.executedEvents = nic.eventQueue().executedEvents();
+    r.simTicks = nic.eventQueue().curTick();
+    r.totalUdpGbps = res.totalUdpGbps;
     double wall_s = r.wallMs / 1e3;
     if (wall_s > 0) {
         r.eventsPerSec = static_cast<double>(r.executedEvents) / wall_s;
@@ -123,17 +142,17 @@ main(int argc, char **argv)
     };
 
     obs::BenchReport report("sim_speed");
-    std::printf("%-30s %12s %12s %10s %8s\n", "config", "events/s",
-                "Mticks/s", "events", "wall ms");
-    std::printf("%.*s\n", 76,
+    std::printf("%-30s %12s %12s %10s %8s %9s\n", "config", "events/s",
+                "Mticks/s", "events", "wall ms", "setup ms");
+    std::printf("%.*s\n", 86,
                 "----------------------------------------------------"
-                "------------------------");
+                "----------------------------------");
     for (const SpeedPoint &p : points) {
         SpeedResult r = measure(p, quick);
-        std::printf("%-30s %12.0f %12.2f %10llu %8.1f\n",
+        std::printf("%-30s %12.0f %12.2f %10llu %8.1f %9.3f\n",
                     p.name.c_str(), r.eventsPerSec, r.simMticksPerSec,
                     static_cast<unsigned long long>(r.executedEvents),
-                    r.wallMs);
+                    r.wallMs, r.setupMs);
 
         obs::json::Value cfg = obs::json::Value::object();
         cfg.set("workload", p.workload);
@@ -146,6 +165,7 @@ main(int argc, char **argv)
         m.set("simMticksPerSec", r.simMticksPerSec);
         m.set("executedEvents", r.executedEvents);
         m.set("wallMs", r.wallMs);
+        m.set("setupMs", r.setupMs);
         m.set("totalUdpGbps", r.totalUdpGbps);
         m.set("frames", r.frames);
         report.addRow(p.name, std::move(cfg), std::move(m));

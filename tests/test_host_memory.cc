@@ -1,15 +1,39 @@
 /**
  * @file
- * Unit tests for the host main-memory model.
+ * Unit tests for the host main-memory model, and for the demand-zero
+ * backing that host memory and SDRAM share: never-written bytes read
+ * 0, untouched capacity stays out of the resident set, and a store
+ * that cannot be mapped is a configuration error.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <string>
 
 #include "mem/host_memory.hh"
+#include "nic/controller.hh"
 
 using namespace tengig;
+
+namespace {
+
+/** This process's resident set size in bytes (VmRSS). */
+std::size_t
+residentBytes()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stoull(line.substr(6)) * 1024; // kB
+    }
+    ADD_FAILURE() << "no VmRSS line in /proc/self/status";
+    return 0;
+}
+
+} // namespace
 
 TEST(HostMemory, ReadWriteRoundTrip)
 {
@@ -53,4 +77,48 @@ TEST(HostMemory, DirectDataPointers)
     EXPECT_EQ(hm.data(100)[0], 0x5a);
     const HostMemory &chm = hm;
     EXPECT_EQ(chm.data(100)[0], 0x5a);
+}
+
+TEST(HostMemory, UnwrittenLastBytesReadZero)
+{
+    NicController nic(NicConfig{});
+    HostMemory &hm = nic.hostMemory();
+    std::uint8_t b = 0xff;
+    hm.read(hm.capacity() - 1, &b, 1);
+    EXPECT_EQ(b, 0);
+
+    OverlayMem &ram = nic.sdram().store();
+    ASSERT_EQ(ram.size(), nic.config().sdramBytes);
+    b = 0xff;
+    ram.readBytes(ram.size() - 1, &b, 1);
+    EXPECT_EQ(b, 0);
+}
+
+TEST(HostMemory, DefaultNicIsResidentOnlyWhereTouched)
+{
+    // 64 MB of host memory and 8 MB of SDRAM are mapped demand-zero:
+    // building and starting a NIC touches only rings, descriptors and
+    // the firmware's frame slots, not the whole capacity.
+    std::size_t before = residentBytes();
+    NicController nic(NicConfig{});
+    nic.startRun();
+    std::size_t after = residentBytes();
+    EXPECT_LT(after - before, 16u * 1024 * 1024)
+        << "constructing and starting a NIC made " << (after - before)
+        << " B resident";
+}
+
+TEST(HostMemory, UnmappableStoreIsFatal)
+{
+    // 2^60 B exceeds the address space, so the mapping fails at once
+    // without allocating anything.
+    NicConfig cfg;
+    cfg.sdramBytes = 1ull << 60;
+    try {
+        NicController nic(cfg);
+        FAIL() << "a 2^60 B SDRAM was built";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("sdram"), std::string::npos)
+            << e.what();
+    }
 }

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "mem/overlay.hh"
+#include "mem/zero_pages.hh"
 
 using namespace tengig;
 
@@ -338,4 +340,63 @@ TEST(Overlay, RepeatedMaterializeRangeCountsEachSpanOnce)
     for (Addr a = 0; a < d.totalLen(); ++a)
         ASSERT_EQ(bytes[a], expectedByte(d, 0, a)) << "offset " << a;
     EXPECT_EQ(m.materializations(), 1u);
+}
+
+TEST(ZeroPages, FreshBytesReadZeroAndZeroCapacityMapsNothing)
+{
+    ZeroPages pages(1 << 20, "test");
+    ASSERT_EQ(pages.size(), 1u << 20);
+    EXPECT_EQ(pages.data()[0], 0);
+    EXPECT_EQ(pages.data()[pages.size() - 1], 0);
+
+    ZeroPages none(0, "test");
+    EXPECT_EQ(none.size(), 0u);
+    EXPECT_EQ(none.data(), nullptr);
+
+    OverlayMem m(3 * 4096 + 5);
+    EXPECT_EQ(m.size(), 3u * 4096 + 5);
+    EXPECT_EQ(readAll(m, m.size() - 1, 1)[0], 0);
+}
+
+TEST(ZeroPages, MovedFromBufferReleasesNothing)
+{
+    // The moved-from owners are destroyed first; had either unmapped
+    // the pages it gave away, the reads below would fault.
+    ZeroPages kept(0, "test");
+    {
+        ZeroPages a(1 << 16, "test");
+        a.data()[0] = 7;
+        a.data()[(1 << 16) - 1] = 9;
+        ZeroPages b(std::move(a));
+        EXPECT_EQ(a.size(), 0u);
+        EXPECT_EQ(a.data(), nullptr);
+
+        ZeroPages c(4096, "test"); // its own pages are released
+        c = std::move(b);
+        EXPECT_EQ(b.size(), 0u);
+        EXPECT_EQ(b.data(), nullptr);
+        kept = std::move(c);
+    }
+    ASSERT_EQ(kept.size(), 1u << 16);
+    EXPECT_EQ(kept.data()[0], 7);
+    EXPECT_EQ(kept.data()[(1 << 16) - 1], 9);
+
+    // Map and touch fresh pages, which may reuse the released
+    // addresses, then check the kept buffer is still intact.
+    ZeroPages fresh(1 << 16, "test");
+    fresh.data()[0] = 1;
+    EXPECT_EQ(kept.data()[0], 7);
+}
+
+TEST(ZeroPages, UnmappableSizeIsFatalAndNamesTheStore)
+{
+    try {
+        ZeroPages huge(std::size_t{1} << 60, "test store");
+        FAIL() << "a 2^60 B mapping succeeded";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("test store"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("1152921504606846976"), std::string::npos)
+            << msg;
+    }
 }
