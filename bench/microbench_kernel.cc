@@ -67,9 +67,7 @@ BM_ScratchpadContendedAccesses(benchmark::State &state)
             for (unsigned r = 0; r < requesters; ++r)
                 for (int i = 0; i < 200; ++i)
                     spad.access(r, static_cast<Addr>(4 * i), SpadOp::Read,
-                                0, [&done](const Scratchpad::Response &) {
-                                    ++done;
-                                });
+                                [&done](Cycles) { ++done; });
         });
         eq.run();
         benchmark::DoNotOptimize(done);

@@ -154,20 +154,16 @@ DmaAssist::spadWordStep()
         curHost += chunk;
         curLocal += chunk;
         curRemaining -= chunk;
-        spad.access(spadRequester, curLocal - chunk, SpadOp::WriteTiming,
-                    0, [this](const Scratchpad::Response &) {
-                        spadWordStep();
-                    });
+        spad.access(spadRequester, curLocal - chunk, SpadOp::Write,
+                    [this](Cycles) { spadWordStep(); });
     } else {
         std::uint32_t word = spad.storage().loadWord(curLocal);
         host.write(curHost, &word, chunk);
         curHost += chunk;
         curLocal += chunk;
         curRemaining -= chunk;
-        spad.access(spadRequester, curLocal - chunk, SpadOp::Read, 0,
-                    [this](const Scratchpad::Response &) {
-                        spadWordStep();
-                    });
+        spad.access(spadRequester, curLocal - chunk, SpadOp::Read,
+                    [this](Cycles) { spadWordStep(); });
     }
 }
 

@@ -61,7 +61,7 @@ FwTasks::hwCounterWrite(unsigned ctr, std::uint64_t value,
 {
     Addr a = state.counterAddr(ctr);
     state.spad.storage().storeWord(a, static_cast<std::uint32_t>(value));
-    state.spad.access(requester, a, SpadOp::WriteTiming, 0, nullptr);
+    state.spad.access(requester, a, SpadOp::Write, nullptr);
 }
 
 bool
@@ -191,7 +191,7 @@ FwTasks::setStatusFlag(OpRecorder &rec, Addr flag_base, std::uint64_t seq,
         for (unsigned i = 0; i < stores; ++i)
             rec.store(word + 4 + 4 * i);
     }
-    state.spad.functionalAtomicSet(word, bit);
+    state.spad.storage().atomicSet(word, bit);
     rec.tag(saved);
 }
 
@@ -213,7 +213,7 @@ FwTasks::commitScan(OpRecorder &rec, Addr flag_base, std::uint64_t from,
             unsigned bit = state.flagBit(seq) % 32;
             rec.alu(cal::rmwUpdateAlu);
             rec.rmw(word);
-            std::uint32_t n = state.spad.functionalAtomicUpdate(word, bit);
+            std::uint32_t n = storage.atomicUpdate(word, bit);
             committed += n;
             if (bit + n < 32)
                 break; // run ended inside the word
@@ -1182,9 +1182,8 @@ FwTasks::rxFrameStored(const MacRx::StoredFrame &sf)
     auto &storage = state.spad.storage();
     storage.storeWord(hw_at, static_cast<std::uint32_t>(sf.sdramAddr));
     storage.storeWord(hw_at + 4, sf.lenBytes);
-    state.spad.access(ids.macRx, hw_at, SpadOp::WriteTiming, 0, nullptr);
-    state.spad.access(ids.macRx, hw_at + 4, SpadOp::WriteTiming, 0,
-                      nullptr);
+    state.spad.access(ids.macRx, hw_at, SpadOp::Write, nullptr);
+    state.spad.access(ids.macRx, hw_at + 4, SpadOp::Write, nullptr);
     ++state.macRxStored;
     hwCounterWrite(FwState::CtrMacRxStored, state.macRxStored,
                    ids.macRx);

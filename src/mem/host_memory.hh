@@ -66,11 +66,6 @@ class HostMemory
         return mem.bytesFor(addr, len);
     }
 
-    /** Raw backing pointer; callers must know the range is span-free
-     *  (use bytesFor() when descriptors may cover it). */
-    const std::uint8_t *data(Addr addr) const { return mem.raw(addr); }
-    std::uint8_t *data(Addr addr) { return mem.raw(addr); }
-
     /** Bump-allocate a host buffer. */
     Addr
     alloc(std::size_t bytes, std::size_t align = 8)

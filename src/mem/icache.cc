@@ -61,24 +61,4 @@ ICache::lookup(Addr pc, Tick now)
     return done > now ? done - now : 0;
 }
 
-bool
-ICache::probe(Addr pc) const
-{
-    Addr line_addr = pc >> lineShiftBits;
-    unsigned set = static_cast<unsigned>(line_addr & setMask);
-    Addr tag = line_addr >> setShiftBits;
-    const Line *base = &lines[static_cast<std::size_t>(set) * ways];
-    for (unsigned w = 0; w < ways; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
-}
-
-void
-ICache::flush()
-{
-    for (auto &l : lines)
-        l.valid = false;
-}
-
 } // namespace tengig

@@ -123,12 +123,6 @@ class ICache
      */
     Tick lookup(Addr pc, Tick now);
 
-    /** @return true if the line containing @p pc is resident. */
-    bool probe(Addr pc) const;
-
-    /** Invalidate all lines. */
-    void flush();
-
     unsigned lineSize() const { return lineBytes; }
 
     /** log2(lineSize()); line size is enforced to be a power of two. */

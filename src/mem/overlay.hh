@@ -129,10 +129,6 @@ class OverlayMem
         return mem.data() + addr;
     }
 
-    /** Raw backing access; callers must know the range is span-free. */
-    const std::uint8_t *raw(Addr addr) const { return mem.data() + addr; }
-    std::uint8_t *raw(Addr addr) { return mem.data() + addr; }
-
     /** Pattern spans currently installed (observability/tests). */
     std::size_t spanCount() const { return spans.size(); }
 

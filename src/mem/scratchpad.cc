@@ -1,7 +1,6 @@
 #include "scratchpad.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "obs/stat_registry.hh"
 
@@ -36,14 +35,13 @@ Scratchpad::bankOf(Addr addr) const
 }
 
 void
-Scratchpad::access(unsigned requester, Addr addr, SpadOp op,
-                   std::uint32_t wdata, Callback cb)
+Scratchpad::access(unsigned requester, Addr addr, SpadOp op, Callback cb)
 {
     panic_if(requester >= numRequesters,
              "bad scratchpad requester ", requester);
     unsigned b = bankOf(addr);
     Bank &bank = banks[b];
-    bank.queue.push_back(Request{requester, addr, op, wdata, std::move(cb),
+    bank.queue.push_back(Request{requester, addr, op, std::move(cb),
                                  curCycle()});
     scheduleService(b);
 }
@@ -104,33 +102,25 @@ Scratchpad::serviceBank(unsigned b)
         ++reads;
         break;
       case SpadOp::Write:
-      case SpadOp::WriteTiming:
         ++writes;
         break;
-      default:
+      case SpadOp::Rmw:
         ++rmws;
         break;
     }
 
-    std::uint32_t result = executeAt(req);
-    bool is_write =
-        req.op == SpadOp::Write || req.op == SpadOp::WriteTiming;
     if (tracer) {
         // RMW operations read and write; trace them as writes (they
         // dirty the line under any coherence protocol).
-        bool traced_write = is_write || req.op == SpadOp::AtomicSet ||
-            req.op == SpadOp::AtomicUpdate ||
-            req.op == SpadOp::AtomicTestSet ||
-            req.op == SpadOp::RmwTiming;
         tracer(req.requester, req.addr & ~static_cast<Addr>(3),
-               traced_write);
+               req.op != SpadOp::Read);
     }
-    Cycles done = is_write ? writeAcceptLatency : accessLatency;
+    Cycles done =
+        req.op == SpadOp::Write ? writeAcceptLatency : accessLatency;
     if (req.cb) {
         scheduleCycles(done,
-                       [cb = std::move(req.cb), result, conflict,
-                        is_write]() mutable {
-                           cb(Response{result, conflict, is_write});
+                       [cb = std::move(req.cb), conflict]() mutable {
+                           cb(conflict);
                        },
                        EventPriority::HardwareProgress);
     }
@@ -143,60 +133,6 @@ Scratchpad::serviceBank(unsigned b)
                               [this, b] { serviceBank(b); },
                               EventPriority::HardwareProgress);
     }
-}
-
-std::uint32_t
-Scratchpad::executeAt(const Request &req)
-{
-    Addr word_addr = req.addr & ~static_cast<Addr>(3);
-    switch (req.op) {
-      case SpadOp::Read:
-        return store.loadWord(word_addr);
-      case SpadOp::Write:
-        store.storeWord(word_addr, req.wdata);
-        return 0;
-      case SpadOp::AtomicSet:
-        return functionalAtomicSet(word_addr, req.wdata & 31);
-      case SpadOp::AtomicUpdate:
-        return functionalAtomicUpdate(word_addr, req.wdata & 31);
-      case SpadOp::AtomicTestSet: {
-        std::uint32_t old = store.loadWord(word_addr);
-        store.storeWord(word_addr, 1);
-        return old;
-      }
-      case SpadOp::WriteTiming:
-      case SpadOp::RmwTiming:
-        return 0;
-    }
-    panic("[scratchpad] unreachable op ",
-          static_cast<unsigned>(req.op), " at addr ", req.addr,
-          " @tick ", curTick());
-}
-
-std::uint32_t
-Scratchpad::functionalAtomicSet(Addr word_addr, unsigned bit)
-{
-    std::uint32_t v = store.loadWord(word_addr);
-    v |= (1u << bit);
-    store.storeWord(word_addr, v);
-    return v;
-}
-
-std::uint32_t
-Scratchpad::functionalAtomicUpdate(Addr word_addr, unsigned start_bit)
-{
-    // Scan for consecutive set bits starting at start_bit within this one
-    // aligned 32-bit word, clear them, and return the count cleared.
-    std::uint32_t v = store.loadWord(word_addr);
-    std::uint32_t cleared = 0;
-    for (unsigned bit = start_bit; bit < 32; ++bit) {
-        if (!(v & (1u << bit)))
-            break;
-        v &= ~(1u << bit);
-        ++cleared;
-    }
-    store.storeWord(word_addr, v);
-    return cleared;
 }
 
 std::uint64_t

@@ -13,9 +13,11 @@
  *  - Stores are acknowledged one cycle after their grant (when the bank
  *    accepts the write) so a single-entry store buffer can hide them.
  *
- * The atomic read-modify-write instructions proposed by the paper (set,
- * update) and the test-and-set used by the baseline's locks execute at the
- * bank at access time.
+ * The crossbar only times accesses: it never reads or changes a word.
+ * Scratchpad state changes in SpadStorage alone.  The firmware reads and
+ * writes words there, atomic set/update included, when it dispatches an
+ * instruction (DESIGN.md section 5.1), and the assists when they issue
+ * an access; the timed access charges the bank operation.
  */
 
 #ifndef TENGIG_MEM_SCRATCHPAD_HH
@@ -33,52 +35,34 @@ namespace tengig {
 
 namespace obs { class StatGroup; }
 
-/** Operation kinds a scratchpad bank can execute. */
+/**
+ * Kinds of timed scratchpad access.  Each consumes one bank grant;
+ * they differ in completion latency, in the statistic they count
+ * toward and in how the tracer classifies them.
+ */
 enum class SpadOp
 {
     Read,
     Write,
-    /** Atomically set bit (wdata & 31) in the addressed 32-bit word. */
-    AtomicSet,
-    /**
-     * Atomically scan the addressed aligned 32-bit word for consecutive
-     * set bits starting at bit (wdata & 31), clear them, and return the
-     * count cleared (the paper's "update" RMW instruction).
-     */
-    AtomicUpdate,
-    /** Atomically read the word and set it to 1 (lock acquire probe). */
-    AtomicTestSet,
-    /**
-     * Timing-only variants used by the core replay engine: they consume
-     * crossbar/bank bandwidth and count in the statistics, but never
-     * touch storage (the firmware already applied its state change
-     * functionally at dispatch time).
-     */
-    WriteTiming,
-    RmwTiming,
+    /** An atomic set/update or lock probe (traces as a write). */
+    Rmw,
 };
 
 /**
- * Banked scratchpad + crossbar timing model with atomic ops.
+ * Banked scratchpad + crossbar timing model.
  */
 class Scratchpad : public Clocked
 {
   public:
-    struct Response
-    {
-        std::uint32_t data;     //!< load / RMW result
-        Cycles conflictCycles;  //!< grant delay beyond the minimum
-        bool isWrite;
-    };
-
     /**
-     * Completion callback.  SmallFn rather than std::function: every
-     * hot caller captures just its `this` pointer, so responses move
-     * through the bank queue and the completion event without manager
-     * thunks or heap spills (oversized cold-path closures still spill
-     * safely).
+     * Completion callback, passed the grant delay beyond the minimum
+     * (the access's conflict cycles).  SmallFn rather than
+     * std::function: every hot caller captures just its `this`
+     * pointer, so completions move through the bank queue and the
+     * completion event without manager thunks or heap spills
+     * (oversized cold-path closures still spill safely).
      */
-    using Callback = SmallFn<void(const Response &), 16>;
+    using Callback = SmallFn<void(Cycles conflict), 16>;
 
     /**
      * @param requesters Number of crossbar requesters (cores + assists).
@@ -93,12 +77,11 @@ class Scratchpad : public Clocked
     /**
      * Issue a timed access.  @p cb fires on the data-return edge for
      * reads/RMWs and on the write-accept edge for writes.  It is legal to
-     * pass a null callback for fire-and-forget writes.
+     * pass a null callback for fire-and-forget accesses.
      */
-    void access(unsigned requester, Addr addr, SpadOp op,
-                std::uint32_t wdata, Callback cb);
+    void access(unsigned requester, Addr addr, SpadOp op, Callback cb);
 
-    /** Untimed state access (initialization, checkers, tests). */
+    /** The scratchpad words (all state changes happen here). */
     SpadStorage &storage() { return store; }
     const SpadStorage &storage() const { return store; }
 
@@ -115,10 +98,6 @@ class Scratchpad : public Clocked
 
     unsigned numBanks() const { return static_cast<unsigned>(banks.size()); }
     unsigned bankOf(Addr addr) const;
-
-    /** Functional versions of the RMW ops (used by tests/oracles). */
-    std::uint32_t functionalAtomicSet(Addr wordAddr, unsigned bit);
-    std::uint32_t functionalAtomicUpdate(Addr wordAddr, unsigned startBit);
 
     /// @name Statistics
     /// @{
@@ -141,7 +120,6 @@ class Scratchpad : public Clocked
         unsigned requester;
         Addr addr;
         SpadOp op;
-        std::uint32_t wdata;
         Callback cb;
         Cycles arrival;   //!< cycle the request reached the bank queue
     };
@@ -160,7 +138,6 @@ class Scratchpad : public Clocked
 
     void scheduleService(unsigned bank);
     void serviceBank(unsigned bank);
-    std::uint32_t executeAt(const Request &req);
 
     SpadStorage store;
     std::function<void(unsigned, Addr, bool)> tracer;

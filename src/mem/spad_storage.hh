@@ -4,8 +4,10 @@
  *
  * Firmware control state that multiple agents race on (status bit arrays,
  * commit pointers, hardware progress pointers, locks) lives in real bytes
- * here so the atomic read-modify-write instructions operate on actual
- * memory, exactly as in the proposed hardware.
+ * here, and this is the only place scratchpad words change: the firmware
+ * applies loads, stores and the paper's atomic set/update instructions
+ * to these bytes when it dispatches them, while the Scratchpad crossbar
+ * in front of them only times the accesses.
  *
  * The bytes are a demand-zero mapping (ZeroPages): they read as 0 until
  * written, and only the pages the firmware layout touches become
@@ -65,6 +67,40 @@ class SpadStorage
     {
         checkRange(addr, 1);
         mem.data()[addr] = v;
+    }
+
+    /**
+     * The paper's "set" instruction: set @p bit (0-31) in the aligned
+     * word at @p wordAddr.
+     * @return The new word value.
+     */
+    std::uint32_t
+    atomicSet(Addr wordAddr, unsigned bit)
+    {
+        std::uint32_t v = loadWord(wordAddr) | (1u << bit);
+        storeWord(wordAddr, v);
+        return v;
+    }
+
+    /**
+     * The paper's "update" instruction: clear the run of consecutive
+     * set bits that starts at @p startBit (0-31), stopping at the end
+     * of the aligned word at @p wordAddr.
+     * @return The number of bits cleared.
+     */
+    std::uint32_t
+    atomicUpdate(Addr wordAddr, unsigned startBit)
+    {
+        std::uint32_t v = loadWord(wordAddr);
+        std::uint32_t cleared = 0;
+        for (unsigned bit = startBit; bit < 32; ++bit) {
+            if (!(v & (1u << bit)))
+                break;
+            v &= ~(1u << bit);
+            ++cleared;
+        }
+        storeWord(wordAddr, v);
+        return cleared;
     }
 
     /**

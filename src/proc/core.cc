@@ -251,24 +251,24 @@ Core::issueMem()
 {
     const MicroOp &op = current.ops[opIdx];
     SpadOp sop = (op.kind == OpKind::MemRead) ? SpadOp::Read
-                                              : SpadOp::RmwTiming;
-    spad.access(coreId, op.addr, sop, 0,
-                [this](const Scratchpad::Response &r) { memResponse(r); });
+                                              : SpadOp::Rmw;
+    spad.access(coreId, op.addr, sop,
+                [this](Cycles conflict) { memResponse(conflict); });
 }
 
 void
-Core::memResponse(const Scratchpad::Response &r)
+Core::memResponse(Cycles conflict)
 {
     const MicroOp &op = current.ops[opIdx];
     FuncTag tag = op.tag;
-    Cycles total = 2 + r.conflictCycles;
+    Cycles total = 2 + conflict;
     _stats.instructions += 1;
     if (tag == FuncTag::Idle) {
         _stats.idleCycles += total;
     } else {
         _stats.executeCycles += 1;
         _stats.loadStallCycles += 1;
-        _stats.conflictCycles += r.conflictCycles;
+        _stats.conflictCycles += conflict;
     }
     account(tag, 1, 1, total);
     ++opIdx;
@@ -292,10 +292,8 @@ Core::tryIssueStore()
         return;
     }
     storeBufferBusy = true;
-    spad.access(coreId, pendingAddr, SpadOp::WriteTiming, 0,
-                [this](const Scratchpad::Response &) {
-                    storeBufferBusy = false;
-                });
+    spad.access(coreId, pendingAddr, SpadOp::Write,
+                [this](Cycles) { storeBufferBusy = false; });
     _stats.instructions += 1;
     if (idle_tag)
         _stats.idleCycles += 1;

@@ -122,7 +122,7 @@ class Core : public Clocked
     void nextInvocation();
     void beginOp();
     void issueMem();
-    void memResponse(const Scratchpad::Response &r);
+    void memResponse(Cycles conflict);
     void tryIssueStore();
     /** Model instruction fetch of @p instrs instructions; returns stall. */
     Cycles fetchStall(FuncTag tag, unsigned instrs);

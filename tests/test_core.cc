@@ -157,7 +157,7 @@ TEST_F(CoreFixture, ContendedStoreBufferStallsSecondStore)
     // takes a structural (conflict-attributed) stall.
     eq.schedule(0, [&] {
         for (int i = 0; i < 4; ++i)
-            spad.access(7, 0x100, SpadOp::Read, 0, nullptr);
+            spad.access(7, 0x100, SpadOp::Read, nullptr);
     }, EventPriority::HardwareProgress);
     OpRecorder r(FuncTag::SendFrame);
     r.store(0x100);

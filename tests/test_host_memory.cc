@@ -70,15 +70,6 @@ TEST(HostMemory, AllocatorExhaustionIsFatal)
     EXPECT_THROW(hm.alloc(8192), FatalError);
 }
 
-TEST(HostMemory, DirectDataPointers)
-{
-    HostMemory hm(4096);
-    hm.data(100)[0] = 0x5a;
-    EXPECT_EQ(hm.data(100)[0], 0x5a);
-    const HostMemory &chm = hm;
-    EXPECT_EQ(chm.data(100)[0], 0x5a);
-}
-
 TEST(HostMemory, UnwrittenLastBytesReadZero)
 {
     NicController nic(NicConfig{});

@@ -54,10 +54,11 @@ TEST_F(ICacheFixture, TwoWaysHoldConflictingLines)
     // 8KB, 2-way, 32B lines -> 128 sets -> set stride is 4096 bytes.
     cache.lookup(0x0000, 0);
     cache.lookup(0x1000, 0); // same set, second way
-    EXPECT_TRUE(cache.probe(0x0000));
-    EXPECT_TRUE(cache.probe(0x1000));
+    EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(cache.lookup(0x0000, 100000), 0u);
     EXPECT_EQ(cache.lookup(0x1000, 100000), 0u);
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST_F(ICacheFixture, LruEvictsLeastRecentlyUsed)
@@ -66,18 +67,15 @@ TEST_F(ICacheFixture, LruEvictsLeastRecentlyUsed)
     cache.lookup(0x1000, 0); // way B
     cache.lookup(0x0000, 0); // touch A
     cache.lookup(0x2000, 0); // same set; evicts B (LRU)
-    EXPECT_TRUE(cache.probe(0x0000));
-    EXPECT_FALSE(cache.probe(0x1000));
-    EXPECT_TRUE(cache.probe(0x2000));
-}
-
-TEST_F(ICacheFixture, FlushInvalidatesEverything)
-{
-    cache.lookup(0x0, 0);
-    cache.lookup(0x40, 0);
-    cache.flush();
-    EXPECT_FALSE(cache.probe(0x0));
-    EXPECT_FALSE(cache.probe(0x40));
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 3u);
+    // Every lookup refreshes its line, so check the survivors first and
+    // the evicted line last: refilling B evicts one of them.
+    EXPECT_EQ(cache.lookup(0x0000, 100000), 0u);
+    EXPECT_EQ(cache.lookup(0x2000, 100000), 0u);
+    EXPECT_EQ(cache.hits(), 3u);
+    EXPECT_GT(cache.lookup(0x1000, 100000), 0u);
+    EXPECT_EQ(cache.misses(), 4u);
 }
 
 TEST_F(ICacheFixture, SharedPortSerializesFills)

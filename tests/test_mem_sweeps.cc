@@ -44,8 +44,7 @@ TEST_P(SpadSweep, EveryRequestCompletesExactlyOnce)
                 spad.access(r, 4 * rng.below(1024),
                             rng.chance(0.5) ? SpadOp::Read
                                             : SpadOp::Write,
-                            0, [&completions, r](
-                                   const Scratchpad::Response &) {
+                            [&completions, r](Cycles) {
                                 ++completions[r];
                             });
             }
@@ -73,10 +72,8 @@ TEST_P(SpadSweep, ThroughputBoundedByOneGrantPerBankPerCycle)
         for (unsigned r = 0; r < g.requesters; ++r) {
             for (int i = 0; i < per_requester; ++i) {
                 ++outstanding;
-                spad.access(r, static_cast<Addr>(4 * i), SpadOp::Read, 0,
-                            [&](const Scratchpad::Response &) {
-                                --outstanding;
-                            });
+                spad.access(r, static_cast<Addr>(4 * i), SpadOp::Read,
+                            [&](Cycles) { --outstanding; });
             }
         }
     });

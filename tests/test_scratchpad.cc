@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the banked scratchpad: storage, timing, arbitration,
- * and the paper's atomic set/update RMW instructions.
+ * Unit tests for the banked scratchpad: storage and the paper's atomic
+ * set/update RMW instructions, crossbar timing and arbitration.
  */
 
 #include <gtest/gtest.h>
@@ -66,35 +66,28 @@ TEST_F(SpadFixture, BankInterleavingByWord)
 
 TEST_F(SpadFixture, UncontendedReadTakesTwoCycles)
 {
-    spad.storage().storeWord(0x40, 77);
     Tick done = 0;
-    std::uint32_t data = 0;
     eq.schedule(0, [&] {
-        spad.access(0, 0x40, SpadOp::Read, 0,
-                    [&](const Scratchpad::Response &r) {
-                        done = eq.curTick();
-                        data = r.data;
-                        EXPECT_EQ(r.conflictCycles, 0u);
-                    });
+        spad.access(0, 0x40, SpadOp::Read, [&](Cycles conflict) {
+            done = eq.curTick();
+            EXPECT_EQ(conflict, 0u);
+        });
     });
     eq.run();
     EXPECT_EQ(done, 2 * 5000u);
-    EXPECT_EQ(data, 77u);
 }
 
 TEST_F(SpadFixture, WriteAcceptsAfterOneCycle)
 {
     Tick done = 0;
     eq.schedule(0, [&] {
-        spad.access(0, 0x40, SpadOp::Write, 123,
-                    [&](const Scratchpad::Response &r) {
-                        done = eq.curTick();
-                        EXPECT_TRUE(r.isWrite);
-                    });
+        spad.access(0, 0x40, SpadOp::Write, [&](Cycles conflict) {
+            done = eq.curTick();
+            EXPECT_EQ(conflict, 0u);
+        });
     });
     eq.run();
     EXPECT_EQ(done, 5000u);
-    EXPECT_EQ(spad.storage().loadWord(0x40), 123u);
 }
 
 TEST_F(SpadFixture, SameBankConflictSerializes)
@@ -105,11 +98,10 @@ TEST_F(SpadFixture, SameBankConflictSerializes)
     std::vector<Cycles> conf(2, 0);
     eq.schedule(0, [&] {
         for (unsigned i = 0; i < 2; ++i) {
-            spad.access(i, 0x40, SpadOp::Read, 0,
-                        [&, i](const Scratchpad::Response &r) {
-                            done[i] = eq.curTick();
-                            conf[i] = r.conflictCycles;
-                        });
+            spad.access(i, 0x40, SpadOp::Read, [&, i](Cycles conflict) {
+                done[i] = eq.curTick();
+                conf[i] = conflict;
+            });
         }
     });
     eq.run();
@@ -125,10 +117,8 @@ TEST_F(SpadFixture, DifferentBanksProceedInParallel)
     std::vector<Tick> done(4, 0);
     eq.schedule(0, [&] {
         for (unsigned i = 0; i < 4; ++i) {
-            spad.access(i, 0x40 + 4 * i, SpadOp::Read, 0,
-                        [&, i](const Scratchpad::Response &) {
-                            done[i] = eq.curTick();
-                        });
+            spad.access(i, 0x40 + 4 * i, SpadOp::Read,
+                        [&, i](Cycles) { done[i] = eq.curTick(); });
         }
     });
     eq.run();
@@ -143,12 +133,11 @@ TEST_F(SpadFixture, RoundRobinIsFairUnderSaturation)
     std::map<unsigned, int> grants;
     int remaining = 400;
     std::function<void(unsigned)> issue = [&](unsigned who) {
-        spad.access(who, 0x0, SpadOp::Read, 0,
-                    [&, who](const Scratchpad::Response &) {
-                        ++grants[who];
-                        if (--remaining > 0)
-                            issue(who);
-                    });
+        spad.access(who, 0x0, SpadOp::Read, [&, who](Cycles) {
+            ++grants[who];
+            if (--remaining > 0)
+                issue(who);
+        });
     };
     eq.schedule(0, [&] {
         for (unsigned i = 0; i < 4; ++i)
@@ -167,10 +156,8 @@ TEST_F(SpadFixture, OneGrantPerBankPerCycle)
     std::vector<Tick> done;
     eq.schedule(0, [&] {
         for (int i = 0; i < n; ++i) {
-            spad.access(0, 0x0, SpadOp::Read, 0,
-                        [&](const Scratchpad::Response &) {
-                            done.push_back(eq.curTick());
-                        });
+            spad.access(0, 0x0, SpadOp::Read,
+                        [&](Cycles) { done.push_back(eq.curTick()); });
         }
     });
     eq.run();
@@ -185,16 +172,12 @@ TEST_F(SpadFixture, LateArrivalDoesNotDoubleGrantInOneCycle)
     // next cycle.
     std::vector<Tick> done;
     eq.schedule(0, [&] {
-        spad.access(0, 0x0, SpadOp::Read, 0,
-                    [&](const Scratchpad::Response &) {
-                        done.push_back(eq.curTick());
-                    });
+        spad.access(0, 0x0, SpadOp::Read,
+                    [&](Cycles) { done.push_back(eq.curTick()); });
         // Arrives later in the same tick via a lower-priority event.
         eq.schedule(0, [&] {
-            spad.access(1, 0x0, SpadOp::Read, 0,
-                        [&](const Scratchpad::Response &) {
-                            done.push_back(eq.curTick());
-                        });
+            spad.access(1, 0x0, SpadOp::Read,
+                        [&](Cycles) { done.push_back(eq.curTick()); });
         }, EventPriority::Cpu);
     });
     eq.run();
@@ -205,112 +188,91 @@ TEST_F(SpadFixture, LateArrivalDoesNotDoubleGrantInOneCycle)
 
 TEST_F(SpadFixture, AtomicSetSetsExactlyOneBit)
 {
-    spad.storage().storeWord(0x80, 0);
-    Tick done = 0;
-    eq.schedule(0, [&] {
-        spad.access(2, 0x80, SpadOp::AtomicSet, 5,
-                    [&](const Scratchpad::Response &r) {
-                        done = eq.curTick();
-                        EXPECT_EQ(r.data, 1u << 5);
-                    });
-    });
-    eq.run();
-    EXPECT_EQ(done, 2 * 5000u);
-    EXPECT_EQ(spad.storage().loadWord(0x80), 1u << 5);
+    auto &st = spad.storage();
+    st.storeWord(0x80, 0);
+    EXPECT_EQ(st.atomicSet(0x80, 5), 1u << 5);
+    EXPECT_EQ(st.loadWord(0x80), 1u << 5);
 }
 
 TEST_F(SpadFixture, AtomicUpdateClearsConsecutiveRun)
 {
     // bits 3,4,5,7 set; update starting at bit 3 clears 3,4,5 and
     // returns 3; bit 7 remains.
-    spad.storage().storeWord(0x80, 0b10111000);
-    std::uint32_t cleared = 0;
-    eq.schedule(0, [&] {
-        spad.access(0, 0x80, SpadOp::AtomicUpdate, 3,
-                    [&](const Scratchpad::Response &r) {
-                        cleared = r.data;
-                    });
-    });
-    eq.run();
-    EXPECT_EQ(cleared, 3u);
-    EXPECT_EQ(spad.storage().loadWord(0x80), 0b10000000u);
+    auto &st = spad.storage();
+    st.storeWord(0x80, 0b10111000);
+    EXPECT_EQ(st.atomicUpdate(0x80, 3), 3u);
+    EXPECT_EQ(st.loadWord(0x80), 0b10000000u);
 }
 
 TEST_F(SpadFixture, AtomicUpdateStartBitClearReturnsZero)
 {
-    spad.storage().storeWord(0x80, 0b100);
-    std::uint32_t cleared = 99;
-    eq.schedule(0, [&] {
-        spad.access(0, 0x80, SpadOp::AtomicUpdate, 0,
-                    [&](const Scratchpad::Response &r) {
-                        cleared = r.data;
-                    });
-    });
-    eq.run();
-    EXPECT_EQ(cleared, 0u);
-    EXPECT_EQ(spad.storage().loadWord(0x80), 0b100u);
+    auto &st = spad.storage();
+    st.storeWord(0x80, 0b100);
+    EXPECT_EQ(st.atomicUpdate(0x80, 0), 0u);
+    EXPECT_EQ(st.loadWord(0x80), 0b100u);
 }
 
 TEST_F(SpadFixture, AtomicUpdateStopsAtWordBoundary)
 {
     // Entire word set: update from bit 0 clears all 32 and stops.
-    spad.storage().storeWord(0x80, 0xffffffff);
-    spad.storage().storeWord(0x84, 0xffffffff);
-    std::uint32_t cleared = 0;
-    eq.schedule(0, [&] {
-        spad.access(0, 0x80, SpadOp::AtomicUpdate, 0,
-                    [&](const Scratchpad::Response &r) {
-                        cleared = r.data;
-                    });
-    });
-    eq.run();
-    EXPECT_EQ(cleared, 32u);
-    EXPECT_EQ(spad.storage().loadWord(0x80), 0u);
+    auto &st = spad.storage();
+    st.storeWord(0x80, 0xffffffff);
+    st.storeWord(0x84, 0xffffffff);
+    EXPECT_EQ(st.atomicUpdate(0x80, 0), 32u);
+    EXPECT_EQ(st.loadWord(0x80), 0u);
     // Next word untouched (at most one aligned word per update).
-    EXPECT_EQ(spad.storage().loadWord(0x84), 0xffffffffu);
+    EXPECT_EQ(st.loadWord(0x84), 0xffffffffu);
 }
 
-TEST_F(SpadFixture, AtomicTestSetReturnsOldValue)
+TEST_F(SpadFixture, AccessesOnlyTimeAndNeverTouchStorage)
 {
-    spad.storage().storeWord(0x90, 0);
-    std::vector<std::uint32_t> old;
+    // Requesters r and r + 4 share bank r % 4; each issues one access
+    // of every kind at tick 0.  The crossbar must leave every word as
+    // it was, and complete each access once, with the round-robin
+    // grant order (r, r + 4, r, r + 4, ...) as its conflict cycles.
+    constexpr unsigned words = 128, requesters = 8, kinds = 3;
+    const SpadOp kind[kinds] = {SpadOp::Read, SpadOp::Write, SpadOp::Rmw};
+    auto &st = spad.storage();
+    auto pattern = [](unsigned w) { return 0x9e3779b9u * (w + 1); };
+    for (unsigned w = 0; w < words; ++w)
+        st.storeWord(4 * w, pattern(w));
+
+    int fired[requesters][kinds] = {};
+    Cycles conf[requesters][kinds] = {};
     eq.schedule(0, [&] {
-        for (int i = 0; i < 2; ++i) {
-            spad.access(0, 0x90, SpadOp::AtomicTestSet, 0,
-                        [&](const Scratchpad::Response &r) {
-                            old.push_back(r.data);
-                        });
+        for (unsigned k = 0; k < kinds; ++k) {
+            for (unsigned r = 0; r < requesters; ++r) {
+                Addr a = 4 * (r % 4) + 16 * (r + requesters * k);
+                spad.access(r, a, kind[(r + k) % kinds],
+                            [&, r, k](Cycles conflict) {
+                                ++fired[r][k];
+                                conf[r][k] = conflict;
+                            });
+            }
         }
     });
     eq.run();
-    ASSERT_EQ(old.size(), 2u);
-    EXPECT_EQ(old[0], 0u); // first acquire wins
-    EXPECT_EQ(old[1], 1u); // second sees it held
-    EXPECT_EQ(spad.storage().loadWord(0x90), 1u);
-}
 
-TEST_F(SpadFixture, AtomicityUnderConcurrentSets)
-{
-    // Property: 32 concurrent AtomicSet ops on one word, one per bit,
-    // must all land regardless of arbitration order.
-    spad.storage().storeWord(0x80, 0);
-    eq.schedule(0, [&] {
-        for (unsigned bit = 0; bit < 32; ++bit) {
-            spad.access(bit % 8, 0x80, SpadOp::AtomicSet, bit,
-                        [](const Scratchpad::Response &) {});
+    for (unsigned w = 0; w < words; ++w)
+        EXPECT_EQ(st.loadWord(4 * w), pattern(w)) << "word " << w;
+    for (unsigned r = 0; r < requesters; ++r) {
+        for (unsigned k = 0; k < kinds; ++k) {
+            EXPECT_EQ(fired[r][k], 1) << "r=" << r << " k=" << k;
+            EXPECT_EQ(conf[r][k], 2 * k + r / 4) << "r=" << r << " k=" << k;
         }
-    });
-    eq.run();
-    EXPECT_EQ(spad.storage().loadWord(0x80), 0xffffffffu);
+    }
+    EXPECT_EQ(spad.readAccesses(), requesters);
+    EXPECT_EQ(spad.writeAccesses(), requesters);
+    EXPECT_EQ(spad.rmwAccesses(), requesters);
 }
 
 TEST_F(SpadFixture, StatsCountAccessesByKind)
 {
     eq.schedule(0, [&] {
-        spad.access(0, 0x0, SpadOp::Read, 0, nullptr);
-        spad.access(0, 0x4, SpadOp::Write, 1, nullptr);
-        spad.access(0, 0x8, SpadOp::AtomicSet, 0, nullptr);
-        spad.access(0, 0xc, SpadOp::AtomicUpdate, 0, nullptr);
+        spad.access(0, 0x0, SpadOp::Read, nullptr);
+        spad.access(0, 0x4, SpadOp::Write, nullptr);
+        spad.access(0, 0x8, SpadOp::Rmw, nullptr);
+        spad.access(0, 0xc, SpadOp::Rmw, nullptr);
     });
     eq.run();
     EXPECT_EQ(spad.totalAccesses(), 4u);
@@ -325,8 +287,7 @@ TEST_F(SpadFixture, ConsumedBandwidthMath)
     // 128 bits / 50 ns = 2.56 Gb/s.
     eq.schedule(0, [&] {
         for (int i = 0; i < 4; ++i)
-            spad.access(0, static_cast<Addr>(4 * i), SpadOp::Read, 0,
-                        nullptr);
+            spad.access(0, static_cast<Addr>(4 * i), SpadOp::Read, nullptr);
     });
     eq.run();
     EXPECT_NEAR(spad.consumedBandwidthGbps(50000), 2.56, 1e-9);
@@ -340,42 +301,13 @@ TEST(ScratchpadConfig, RejectsBadGeometry)
     EXPECT_THROW(Scratchpad(eq, cpu, 4, 1024, 4, 3), FatalError);
 }
 
-TEST(ScratchpadRandom, ConcurrentAtomicSetsMatchOrderIndependentOracle)
-{
-    // Property: the final state after an arbitrary interleaving of
-    // AtomicSet ops equals the OR of all requested bits (sets commute),
-    // independent of bank count and arbitration order.
-    Rng rng(1234);
-    for (unsigned banks : {1u, 2u, 4u}) {
-        EventQueue eq;
-        ClockDomain cpu("cpu", 5000);
-        Scratchpad spad(eq, cpu, 8, 4096, banks);
-        std::vector<std::uint32_t> oracle(64, 0);
-
-        eq.schedule(0, [&] {
-            for (int i = 0; i < 1000; ++i) {
-                std::size_t word = rng.below(64);
-                unsigned bit = static_cast<unsigned>(rng.below(32));
-                unsigned req = static_cast<unsigned>(rng.below(8));
-                oracle[word] |= (1u << bit);
-                spad.access(req, static_cast<Addr>(4 * word),
-                            SpadOp::AtomicSet, bit, nullptr);
-            }
-        });
-        eq.run();
-        for (std::size_t w = 0; w < 64; ++w)
-            ASSERT_EQ(spad.storage().loadWord(static_cast<Addr>(4 * w)),
-                      oracle[w])
-                << "banks=" << banks << " word=" << w;
-    }
-}
-
 TEST(ScratchpadRandom, UpdateAccountsForEverySetBitExactlyOnce)
 {
-    // Property: repeatedly AtomicSet sequential bits and AtomicUpdate
-    // from a software commit pointer; every set bit is eventually
-    // cleared by exactly one update, and the commit pointer advances
-    // monotonically to the total count.
+    // Property: repeatedly set sequential bits and update from a
+    // software commit pointer; every set bit is eventually cleared by
+    // exactly one update, and the commit pointer advances monotonically
+    // to the total count.  As in the firmware, each step applies the
+    // storage op when issued and then waits on one timed RMW access.
     EventQueue eq;
     ClockDomain cpu("cpu", 5000);
     Scratchpad spad(eq, cpu, 4, 4096, 2);
@@ -392,17 +324,14 @@ TEST(ScratchpadRandom, UpdateAccountsForEverySetBitExactlyOnce)
         if (nextToSet < totalBits && (committed == nextToSet ||
                                       rng.chance(0.6))) {
             unsigned bit = nextToSet++;
-            spad.access(0, base + 4 * (bit / 32), SpadOp::AtomicSet,
-                        bit % 32,
-                        [&](const Scratchpad::Response &) { pump(); });
+            Addr word = base + 4 * (bit / 32);
+            spad.storage().atomicSet(word, bit % 32);
+            spad.access(0, word, SpadOp::Rmw, [&](Cycles) { pump(); });
             did = true;
         } else if (committed < nextToSet) {
-            spad.access(1, base + 4 * (committed / 32),
-                        SpadOp::AtomicUpdate, committed % 32,
-                        [&](const Scratchpad::Response &r) {
-                            committed += r.data;
-                            pump();
-                        });
+            Addr word = base + 4 * (committed / 32);
+            committed += spad.storage().atomicUpdate(word, committed % 32);
+            spad.access(1, word, SpadOp::Rmw, [&](Cycles) { pump(); });
             did = true;
         }
         if (!did && committed < totalBits)
