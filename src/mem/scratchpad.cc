@@ -39,6 +39,9 @@ Scratchpad::access(unsigned requester, Addr addr, SpadOp op, Callback cb)
 {
     panic_if(requester >= numRequesters,
              "bad scratchpad requester ", requester);
+    panic_if(addr >= store.capacity(),
+             "[scratchpad] access out of range: addr=", addr,
+             " capacity=", store.capacity());
     unsigned b = bankOf(addr);
     Bank &bank = banks[b];
     bank.queue.push_back(Request{requester, addr, op, std::move(cb),

@@ -77,7 +77,8 @@ class Scratchpad : public Clocked
     /**
      * Issue a timed access.  @p cb fires on the data-return edge for
      * reads/RMWs and on the write-accept edge for writes.  It is legal to
-     * pass a null callback for fire-and-forget accesses.
+     * pass a null callback for fire-and-forget accesses.  An address
+     * outside the scratchpad panics.
      */
     void access(unsigned requester, Addr addr, SpadOp op, Callback cb);
 

@@ -72,14 +72,11 @@ class SpadStorage
     /**
      * The paper's "set" instruction: set @p bit (0-31) in the aligned
      * word at @p wordAddr.
-     * @return The new word value.
      */
-    std::uint32_t
+    void
     atomicSet(Addr wordAddr, unsigned bit)
     {
-        std::uint32_t v = loadWord(wordAddr) | (1u << bit);
-        storeWord(wordAddr, v);
-        return v;
+        storeWord(wordAddr, loadWord(wordAddr) | (1u << bit));
     }
 
     /**

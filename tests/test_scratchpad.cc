@@ -55,6 +55,12 @@ TEST_F(SpadFixture, StorageOutOfRangePanics)
     EXPECT_THROW(spad.storage().loadWord(256 * 1024), PanicError);
 }
 
+TEST_F(SpadFixture, TimedAccessOutOfRangePanics)
+{
+    EXPECT_THROW(spad.access(0, 256 * 1024, SpadOp::Read, nullptr),
+                 PanicError);
+}
+
 TEST_F(SpadFixture, BankInterleavingByWord)
 {
     EXPECT_EQ(spad.bankOf(0x0), 0u);
@@ -190,7 +196,7 @@ TEST_F(SpadFixture, AtomicSetSetsExactlyOneBit)
 {
     auto &st = spad.storage();
     st.storeWord(0x80, 0);
-    EXPECT_EQ(st.atomicSet(0x80, 5), 1u << 5);
+    st.atomicSet(0x80, 5);
     EXPECT_EQ(st.loadWord(0x80), 1u << 5);
 }
 

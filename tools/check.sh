@@ -58,13 +58,10 @@
 #               may add or remove events on purpose).
 #   speed       simulated time per host second (simMticksPerSec).
 #               The row fails only when the candidate's median falls
-#               below the reference's median by more than the largest
-#               of the tolerance and each side's own IQR/median: a gap
-#               that either side's runs span among themselves is not
-#               evidence of a regression.  (On shared hosts a run lands
-#               in a fast or a slow phase about 1.5x apart; one side
-#               can draw seven runs of one phase by chance, so its IQR
-#               alone understates the spread -- EXPERIMENTS.md.)
+#               below the reference's median by more than the larger
+#               of the tolerance and the reference's own IQR/median: a
+#               gap that the reference's runs span among themselves is
+#               not evidence of a regression.
 #
 # Host events/sec is not gated: a change that adds or removes events
 # moves it without the simulator getting faster or slower, while
@@ -180,7 +177,7 @@ print()
 print("sim_speed: simulated Mticks per host second, median (IQR) of %d "
       "runs per side" % runs)
 print("gate: results equal; candidate median >= reference median x "
-      "(1 - max(%.2f, IQR/median of either side))" % tolerance)
+      "(1 - max(%.2f, reference IQR/median))" % tolerance)
 print("%-30s %10s %18s %18s %7s %6s %10s" %
       ("config", "committed", "reference", "now", "ratio", "bound",
        "dEvents"))
@@ -196,7 +193,7 @@ for name, ms in fresh.items():
         continue
     ref_med, ref_iqr = median_iqr([m[METRIC] for m in refs])
     ratio = now_med / ref_med
-    bound = max(tolerance, ref_iqr / ref_med, now_iqr / now_med)
+    bound = max(tolerance, ref_iqr / ref_med)
     d_events = ms[0]["executedEvents"] - refs[0]["executedEvents"]
     flags = []
     if any(m[k] != refs[0][k] for m in ms for k in RESULTS):
@@ -211,8 +208,8 @@ for name, ms in fresh.items():
 if failed:
     print()
     print("FAIL vs the same-machine reference on: %s" % "; ".join(failed))
-    print("(speed bound: TENGIG_BENCH_TOLERANCE=<fraction> or either "
-          "side's IQR/median, whichever is largest)")
+    print("(speed bound: TENGIG_BENCH_TOLERANCE=<fraction> or the "
+          "reference's IQR/median, whichever is larger)")
     sys.exit(1)
 EOF
     exit $?
